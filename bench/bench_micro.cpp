@@ -1,14 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the primitive operations the
 // architecture leans on per event: hashing, XML encode/decode, filter
 // matching and covering checks, erasure coding, event serialisation,
-// knowledge-base probes.  These bound the per-event CPU budget behind
-// the system-level numbers in the F/C experiment harnesses.
+// knowledge-base probes, ring distance and overlay leaf-pool upkeep.
+// These bound the per-event CPU budget behind the system-level numbers
+// in the F/C experiment harnesses.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "event/filter_parser.hpp"
 #include "match/knowledge.hpp"
+#include "overlay/node.hpp"
 #include "sim/scheduler.hpp"
 #include "storage/erasure.hpp"
 #include "xml/projection.hpp"
@@ -158,14 +164,42 @@ void BM_SchedulerStepHeavyClosure(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerStepHeavyClosure)->Arg(16)->Arg(256);
 
-void BM_Uid160RingDistance(benchmark::State& state) {
+void BM_UidRingDistance(benchmark::State& state) {
+  // Clockwise distance over a stream of random pairs (the leaf pool's
+  // order key); cycling through 1024 pairs keeps the inputs live.
   Rng rng(4);
-  const Uid160 a = rng.uid(), b = rng.uid();
+  std::vector<std::pair<Uid160, Uid160>> pairs;
+  for (int i = 0; i < 1024; ++i) pairs.emplace_back(rng.uid(), rng.uid());
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(a.ring_distance(b));
+    const auto& [a, b] = pairs[i++ & 1023];
+    benchmark::DoNotOptimize(a.ring_distance_cw(b));
   }
 }
-BENCHMARK(BM_Uid160RingDistance);
+BENCHMARK(BM_UidRingDistance);
+
+void BM_OverlayConsider(benchmark::State& state) {
+  // One node with a full 48-entry leaf pool fed a stream of peers, as
+  // join, announce and gossip handling do: a mix of host refreshes of
+  // pool members and newcomers that overflow the pool.
+  sim::Scheduler sched;
+  sim::Network net(sched, std::make_shared<sim::UniformTopology>(64, duration::millis(1)));
+  Rng rng(5);
+  overlay::OverlayNode node(net, {rng.uid(), 0}, true);
+  std::vector<overlay::NodeRef> peers;
+  for (int i = 0; i < 256; ++i) {
+    peers.push_back({rng.uid(), static_cast<sim::HostId>(1 + rng.below(63))});
+  }
+  for (const auto& p : peers) node.consider(p);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    node.consider(peers[i++ & 255]);
+    benchmark::DoNotOptimize(&node);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OverlayConsider);
 
 }  // namespace
 

@@ -1,7 +1,5 @@
 #include "common/ids.hpp"
 
-#include <algorithm>
-
 namespace aa {
 
 namespace {
@@ -32,51 +30,30 @@ Uid160 Uid160::from_hex(std::string_view hex, bool* ok) {
   return id;
 }
 
+std::array<std::uint8_t, 20> Uid160::bytes() const {
+  std::array<std::uint8_t, 20> out{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(hi_ >> (56 - 8 * i));
+    out[8 + i] = static_cast<std::uint8_t>(mid_ >> (56 - 8 * i));
+  }
+  for (std::size_t i = 0; i < 4; ++i) out[16 + i] = static_cast<std::uint8_t>(lo_ >> (24 - 8 * i));
+  return out;
+}
+
 Uid160 Uid160::with_digit(int i, int value) const {
   Uid160 copy = *this;
-  auto& b = copy.bytes_[static_cast<std::size_t>(i / 2)];
-  if (i % 2 == 0) {
-    b = static_cast<std::uint8_t>((b & 0x0F) | (value << 4));
+  const auto v = static_cast<std::uint64_t>(value & 0xF);
+  if (i < 16) {
+    const int shift = 60 - 4 * i;
+    copy.hi_ = (hi_ & ~(0xFULL << shift)) | (v << shift);
+  } else if (i < 32) {
+    const int shift = 60 - 4 * (i - 16);
+    copy.mid_ = (mid_ & ~(0xFULL << shift)) | (v << shift);
   } else {
-    b = static_cast<std::uint8_t>((b & 0xF0) | (value & 0x0F));
+    const int shift = 28 - 4 * (i - 32);
+    copy.lo_ = static_cast<std::uint32_t>((lo_ & ~(0xFU << shift)) | (v << shift));
   }
   return copy;
-}
-
-int Uid160::shared_prefix_digits(const Uid160& other) const {
-  for (int i = 0; i < kDigits; ++i) {
-    if (digit(i) != other.digit(i)) return i;
-  }
-  return kDigits;
-}
-
-Uid160 Uid160::ring_distance_cw(const Uid160& other) const {
-  // other - this (mod 2^160), big-endian subtraction with borrow.
-  std::array<std::uint8_t, 20> diff{};
-  int borrow = 0;
-  for (int i = 19; i >= 0; --i) {
-    int d = static_cast<int>(other.bytes_[static_cast<std::size_t>(i)]) -
-            static_cast<int>(bytes_[static_cast<std::size_t>(i)]) - borrow;
-    if (d < 0) {
-      d += 256;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    diff[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(d);
-  }
-  return Uid160(diff);
-}
-
-Uid160 Uid160::ring_distance(const Uid160& other) const {
-  return std::min(ring_distance_cw(other), other.ring_distance_cw(*this));
-}
-
-bool Uid160::closer_to(const Uid160& target, const Uid160& other) const {
-  const Uid160 mine = ring_distance(target);
-  const Uid160 theirs = other.ring_distance(target);
-  if (mine != theirs) return mine < theirs;
-  return *this < other;
 }
 
 std::string Uid160::to_hex() const {
@@ -84,12 +61,6 @@ std::string Uid160::to_hex() const {
   s.reserve(kDigits);
   for (int i = 0; i < kDigits; ++i) s.push_back(kHexChars[digit(i)]);
   return s;
-}
-
-std::string Uid160::short_hex() const { return to_hex().substr(0, 8); }
-
-bool Uid160::is_zero() const {
-  return std::all_of(bytes_.begin(), bytes_.end(), [](std::uint8_t b) { return b == 0; });
 }
 
 }  // namespace aa

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <string>
@@ -15,16 +16,23 @@
 
 namespace aa {
 
-/// A 160-bit identifier in the Plaxton ring.  Big-endian byte order:
-/// bytes_[0] holds the most significant digits, which routing consumes
-/// first.
+/// A 160-bit identifier in the Plaxton ring, held as machine-word limbs
+/// most significant first: hi_ (bits 159..96), mid_ (95..32), lo_
+/// (31..0).  Member order makes the defaulted operator<=> the numeric
+/// order, which equals the lexicographic order of the big-endian byte
+/// form; digit 0 (the one routing consumes first) is the top nibble of
+/// hi_.
 class Uid160 {
  public:
   static constexpr int kBits = 160;
   static constexpr int kDigits = 40;  // base-16 digits
 
-  constexpr Uid160() : bytes_{} {}
-  explicit constexpr Uid160(const std::array<std::uint8_t, 20>& bytes) : bytes_(bytes) {}
+  constexpr Uid160() = default;
+  /// From the big-endian byte form (SHA-1 digests, the wire encoding).
+  explicit constexpr Uid160(const std::array<std::uint8_t, 20>& bytes)
+      : hi_(load_be(bytes, 0, 8)),
+        mid_(load_be(bytes, 8, 8)),
+        lo_(static_cast<std::uint32_t>(load_be(bytes, 16, 4))) {}
 
   /// Identifier derived from arbitrary content (secure hash), the way
   /// PAST derives object GUIDs from document content.
@@ -39,59 +47,80 @@ class Uid160 {
   /// paired with `ok=false`.
   static Uid160 from_hex(std::string_view hex, bool* ok = nullptr);
 
-  const std::array<std::uint8_t, 20>& bytes() const { return bytes_; }
+  /// The big-endian byte form (the wire encoding).
+  std::array<std::uint8_t, 20> bytes() const;
 
   /// The i-th base-16 digit, counting from the most significant (i=0).
   int digit(int i) const {
-    const std::uint8_t b = bytes_[static_cast<std::size_t>(i / 2)];
-    return (i % 2 == 0) ? (b >> 4) : (b & 0x0F);
+    if (i < 16) return static_cast<int>((hi_ >> (60 - 4 * i)) & 0xF);
+    if (i < 32) return static_cast<int>((mid_ >> (60 - 4 * (i - 16))) & 0xF);
+    return static_cast<int>((lo_ >> (28 - 4 * (i - 32))) & 0xF);
   }
 
   /// Returns a copy with the i-th base-16 digit replaced.
   Uid160 with_digit(int i, int value) const;
 
   /// Number of leading base-16 digits shared with `other` (0..40).
-  int shared_prefix_digits(const Uid160& other) const;
+  int shared_prefix_digits(const Uid160& other) const {
+    if (const std::uint64_t x = hi_ ^ other.hi_) return std::countl_zero(x) / 4;
+    if (const std::uint64_t x = mid_ ^ other.mid_) return 16 + std::countl_zero(x) / 4;
+    if (const std::uint32_t x = lo_ ^ other.lo_) return 32 + std::countl_zero(x) / 4;
+    return kDigits;
+  }
 
   /// Clockwise ring distance from this id to `other`: the full 160-bit
-  /// difference (other - this) mod 2^160, returned as a Uid160 whose
-  /// big-endian byte order makes operator< a numeric comparison.
-  Uid160 ring_distance_cw(const Uid160& other) const;
+  /// difference (other - this) mod 2^160, returned as a Uid160 so that
+  /// operator< compares distances numerically.
+  Uid160 ring_distance_cw(const Uid160& other) const {
+    const std::uint32_t lo = other.lo_ - lo_;
+    const std::uint64_t b0 = other.lo_ < lo_ ? 1 : 0;
+    const std::uint64_t mid = other.mid_ - mid_ - b0;
+    const std::uint64_t b1 = (other.mid_ < mid_ || (other.mid_ == mid_ && b0 != 0)) ? 1 : 0;
+    return Uid160(other.hi_ - hi_ - b1, mid, lo);
+  }
 
   /// min(cw, ccw) ring distance as a 160-bit value.
-  Uid160 ring_distance(const Uid160& other) const;
+  Uid160 ring_distance(const Uid160& other) const {
+    const Uid160 cw = ring_distance_cw(other);
+    const Uid160 ccw = other.ring_distance_cw(*this);
+    return ccw < cw ? ccw : cw;
+  }
 
   /// True if this id is numerically closer to `target` than `other` is;
   /// ties broken toward the numerically smaller id, so the relation is
   /// total and deterministic.
-  bool closer_to(const Uid160& target, const Uid160& other) const;
+  bool closer_to(const Uid160& target, const Uid160& other) const {
+    const Uid160 mine = ring_distance(target);
+    const Uid160 theirs = other.ring_distance(target);
+    if (mine != theirs) return mine < theirs;
+    return *this < other;
+  }
 
   std::string to_hex() const;
-  /// First 8 hex digits — for logs.
-  std::string short_hex() const;
 
-  bool is_zero() const;
+  bool is_zero() const { return (hi_ | mid_ | lo_) == 0; }
 
   auto operator<=>(const Uid160&) const = default;
 
  private:
-  std::array<std::uint8_t, 20> bytes_;
+  constexpr Uid160(std::uint64_t hi, std::uint64_t mid, std::uint32_t lo)
+      : hi_(hi), mid_(mid), lo_(lo) {}
+
+  static constexpr std::uint64_t load_be(const std::array<std::uint8_t, 20>& b,
+                                         std::size_t at, std::size_t n) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) v = (v << 8) | b[at + i];
+    return v;
+  }
+
+  std::uint64_t hi_ = 0;
+  std::uint64_t mid_ = 0;
+  std::uint32_t lo_ = 0;
 };
 
 /// Identifier of a physical (simulated) node in the network.
 using NodeId = Uid160;
 /// Globally unique identifier of a stored object.
 using ObjectId = Uid160;
-
-struct Uid160Hash {
-  std::size_t operator()(const Uid160& id) const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (std::uint8_t b : id.bytes()) {
-      h ^= b;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
 
 }  // namespace aa

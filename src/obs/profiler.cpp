@@ -12,6 +12,7 @@ std::string_view bucket_name(ProfileBucket b) {
     case ProfileBucket::kBrokerMatch: return "broker_match";
     case ProfileBucket::kStore: return "store";
     case ProfileBucket::kOverlay: return "overlay";
+    case ProfileBucket::kOverlayMaint: return "overlay_maint";
     case ProfileBucket::kTransport: return "transport";
     case ProfileBucket::kPipeline: return "pipeline";
     case ProfileBucket::kDeploy: return "deploy";

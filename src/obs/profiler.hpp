@@ -11,10 +11,11 @@
 //   - serialization: wall time inside run_sync_timestamp, the global-
 //     task serialization points (charged to the global slot),
 //   - merge: wall time draining cross-shard outboxes at barriers,
-// plus a per-subsystem breakdown (broker route/match, store, overlay,
-// transport, pipeline, ...) fed by Network::SpanScope with *self time*
-// semantics: a nested scope pauses its parent, so broker `match` time
-// is not double-counted inside broker `route`.
+// plus a per-subsystem breakdown (broker route/match, store, overlay
+// routing and upkeep, transport, pipeline, ...) fed by
+// Network::SpanScope with *self time* semantics: a nested scope pauses
+// its parent, so broker `match` time is not double-counted inside
+// broker `route`.
 //
 // Like tracing, profiling is opt-in and observation-only: it reads
 // clocks and bumps slot-local counters but never changes what the
@@ -47,6 +48,10 @@ enum class ProfileBucket : std::uint8_t {
   kBrokerMatch,
   kStore,
   kOverlay,
+  /// Overlay upkeep: join, announce and leaf-gossip handling plus the
+  /// maintenance tick.  Charged through a bare Profiler::Scope (no
+  /// span), so bucket_for() never returns it and traces are unchanged.
+  kOverlayMaint,
   kTransport,
   kPipeline,
   kDeploy,

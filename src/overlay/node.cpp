@@ -6,7 +6,11 @@ namespace aa::overlay {
 
 namespace {
 constexpr std::size_t kCandidatePool = 48;
-}
+// lower_bound comparator for the pool's cw-distance order.
+constexpr auto kBeforeDistance = [](const auto& entry, const Uid160& cw) {
+  return entry.cw < cw;
+};
+}  // namespace
 
 OverlayNode::OverlayNode(sim::Network& net, NodeRef self, bool proximity_selection)
     : net_(net), self_(self), proximity_selection_(proximity_selection) {}
@@ -33,43 +37,45 @@ void OverlayNode::consider(const NodeRef& peer) {
     }
   }
 
-  rebuild_leaf(peer);
+  pool_insert(peer);
+  rebuild_leaf();
 }
 
-void OverlayNode::rebuild_leaf(const NodeRef& extra) {
-  // Maintain a bounded pool of known near peers; the leaf set is always
-  // recomputed from the pool so departures can be healed from it.
-  if (extra.valid() && extra.id != self_.id) {
-    auto it = std::find(candidates_.begin(), candidates_.end(), extra);
-    if (it != candidates_.end()) {
-      it->host = extra.host;  // refresh placement
-    } else {
-      candidates_.push_back(extra);
-    }
+void OverlayNode::pool_insert(const NodeRef& peer) {
+  // The leaf set is always re-derived from the pool, so departures can
+  // be healed from it.
+  const Uid160 cw = self_.id.ring_distance_cw(peer.id);
+  auto it = std::lower_bound(pool_.begin(), pool_.end(), cw, kBeforeDistance);
+  if (it != pool_.end() && it->cw == cw) {
+    it->ref.host = peer.host;  // refresh placement
+    return;
   }
-  // Trim the pool, keeping the ring-closest peers.
-  if (candidates_.size() > kCandidatePool) {
-    std::sort(candidates_.begin(), candidates_.end(), [&](const NodeRef& a, const NodeRef& b) {
-      return a.id.ring_distance(self_.id) < b.id.ring_distance(self_.id);
-    });
-    candidates_.resize(kCandidatePool);
+  pool_.insert(it, PoolEntry{cw, peer});
+  if (pool_.size() <= kCandidatePool) return;
+  // Overflow: drop the ring-farthest member.  Ring distance grows along
+  // the pool while members sit nearer clockwise, then shrinks, so the
+  // farthest is one of the two members either side of that crossing
+  // (ties go to the numerically larger id, as in closer_to).
+  const auto cross = std::partition_point(pool_.begin(), pool_.end(), [&](const PoolEntry& e) {
+    return e.cw <= e.ref.id.ring_distance_cw(self_.id);
+  });
+  auto far = cross == pool_.end() ? cross - 1 : cross;
+  if (cross != pool_.begin() && cross != pool_.end() &&
+      cross->ref.id.closer_to(self_.id, (cross - 1)->ref.id)) {
+    far = cross - 1;
   }
+  pool_.erase(far);
+}
 
-  // L/2 nearest successors (clockwise from our id) and predecessors.
-  std::vector<NodeRef> cw = candidates_;
-  std::sort(cw.begin(), cw.end(), [&](const NodeRef& a, const NodeRef& b) {
-    return self_.id.ring_distance_cw(a.id) < self_.id.ring_distance_cw(b.id);
-  });
-  std::vector<NodeRef> ccw = candidates_;
-  std::sort(ccw.begin(), ccw.end(), [&](const NodeRef& a, const NodeRef& b) {
-    return a.id.ring_distance_cw(self_.id) < b.id.ring_distance_cw(self_.id);
-  });
-  const std::size_t half = kLeafSetSize / 2;
+void OverlayNode::rebuild_leaf() {
+  // L/2 nearest successors (the pool's head) and predecessors (its tail,
+  // read backwards); on a ring smaller than L the two halves meet and
+  // the tail stops where the head ends.
+  const std::size_t n = pool_.size();
+  const std::size_t head = std::min<std::size_t>(kLeafSetSize / 2, n);
   leaf_.clear();
-  for (std::size_t i = 0; i < std::min(half, cw.size()); ++i) leaf_.push_back(cw[i]);
-  for (std::size_t i = 0; i < std::min(half, ccw.size()); ++i) {
-    if (std::find(leaf_.begin(), leaf_.end(), ccw[i]) == leaf_.end()) leaf_.push_back(ccw[i]);
-  }
+  for (std::size_t i = 0; i < head; ++i) leaf_.push_back(pool_[i].ref);
+  for (std::size_t i = n; i > std::max(head, n - head);) leaf_.push_back(pool_[--i].ref);
 }
 
 void OverlayNode::remove(const NodeId& id) {
@@ -78,8 +84,10 @@ void OverlayNode::remove(const NodeId& id) {
       if (slot.valid() && slot.id == id) slot = NodeRef{};
     }
   }
-  std::erase_if(candidates_, [&](const NodeRef& r) { return r.id == id; });
-  rebuild_leaf(NodeRef{});
+  const Uid160 cw = self_.id.ring_distance_cw(id);
+  auto it = std::lower_bound(pool_.begin(), pool_.end(), cw, kBeforeDistance);
+  if (it != pool_.end() && it->cw == cw) pool_.erase(it);
+  rebuild_leaf();
 }
 
 void OverlayNode::repair(const NodeRef& dead) {

@@ -12,7 +12,13 @@
 //     is kept; the C2 ablation compares PNS against first-come entries.
 //   * leaf set — the L/2 numerically closest nodes on each side of our
 //     id on the ring.  The leaf set determines root ownership: the root
-//     of a key is the live node numerically closest to it.
+//     of a key is the live node numerically closest to it.  It is read
+//     off a bounded candidate pool kept ordered by clockwise distance
+//     from our id: the pool's head is our successors, its tail (read
+//     backwards) our predecessors, and the ring-farthest member — the
+//     one an overflowing pool drops — sits where the order crosses the
+//     antipode.  Each learn/forget is one binary search plus an in-place
+//     insert or erase; nothing is ever re-sorted.
 //
 // Liveness: a sender checks Network::host_up() before forwarding and
 // repairs its state when the candidate is dead.  This models per-hop
@@ -73,16 +79,27 @@ class OverlayNode {
   std::size_t routing_entries() const;
 
  private:
+  /// A pool member and its clockwise distance from our id (the order
+  /// key; distinct ids have distinct distances).
+  struct PoolEntry {
+    Uid160 cw;
+    NodeRef ref;
+  };
+
   bool alive(const NodeRef& ref) const;
   void repair(const NodeRef& dead);
-  void rebuild_leaf(const NodeRef& extra);
+  /// Inserts `peer` into the pool (or refreshes its host), trimming the
+  /// ring-farthest member on overflow.
+  void pool_insert(const NodeRef& peer);
+  /// Re-derives leaf_ from the pool's head and tail.
+  void rebuild_leaf();
 
   sim::Network& net_;
   NodeRef self_;
   bool proximity_selection_;
   std::array<std::array<NodeRef, 16>, Uid160::kDigits> table_{};
-  std::vector<NodeRef> leaf_;        // sorted by id, excludes self
-  std::vector<NodeRef> candidates_;  // leaf candidate pool (bounded)
+  std::vector<NodeRef> leaf_;     // successors nearest-first, then predecessors
+  std::vector<PoolEntry> pool_;   // leaf candidates by cw distance; excludes self
   NodeStats stats_;
 };
 

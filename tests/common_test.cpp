@@ -2,7 +2,9 @@
 // status/result, geographic primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/geo.hpp"
@@ -129,6 +131,172 @@ TEST(Uid160, CloserToIsTotalAndAntisymmetric) {
     const Uid160 t = rng.uid(), a = rng.uid(), b = rng.uid();
     if (a == b) continue;
     EXPECT_NE(a.closer_to(t, b), b.closer_to(t, a));
+  }
+}
+
+// --- Uid160 limbs against a byte-wise reference ---
+//
+// Uid160 stores three machine words; these reference routines work on
+// the big-endian byte form, one byte at a time, and define what the
+// limb arithmetic must reproduce.
+
+using IdBytes = std::array<std::uint8_t, 20>;
+
+IdBytes ref_sub(const IdBytes& a, const IdBytes& b) {  // (a - b) mod 2^160
+  IdBytes d{};
+  int borrow = 0;
+  for (int i = 19; i >= 0; --i) {
+    const auto k = static_cast<std::size_t>(i);
+    int v = a[k] - b[k] - borrow;
+    borrow = v < 0 ? 1 : 0;
+    d[k] = static_cast<std::uint8_t>(v + 256 * borrow);
+  }
+  return d;
+}
+
+int ref_digit(const IdBytes& b, int i) {
+  const std::uint8_t byte = b[static_cast<std::size_t>(i / 2)];
+  return i % 2 == 0 ? byte >> 4 : byte & 0x0F;
+}
+
+int ref_shared_prefix(const IdBytes& a, const IdBytes& b) {
+  for (int i = 0; i < Uid160::kDigits; ++i) {
+    if (ref_digit(a, i) != ref_digit(b, i)) return i;
+  }
+  return Uid160::kDigits;
+}
+
+IdBytes random_bytes(Rng& rng) {
+  IdBytes b{};
+  for (auto& x : b) x = static_cast<std::uint8_t>(rng.below(256));
+  return b;
+}
+
+// Every combination of {0, 1, top bit only, all ones} in each of the
+// three limbs (bytes 0..7, 8..15, 16..19): operand pairs drawn from
+// these borrow across both limb boundaries and wrap through zero.
+std::vector<IdBytes> limb_edge_ids() {
+  const std::pair<std::size_t, std::size_t> limbs[] = {{0, 8}, {8, 16}, {16, 20}};
+  std::vector<IdBytes> out;
+  for (int code = 0; code < 64; ++code) {
+    IdBytes b{};
+    for (int l = 0; l < 3; ++l) {
+      const auto [first, last] = limbs[l];
+      switch ((code >> (2 * l)) & 3) {
+        case 0: break;
+        case 1: b[last - 1] = 1; break;
+        case 2: b[first] = 0x80; break;
+        case 3: std::fill(b.begin() + first, b.begin() + last, 0xFF); break;
+      }
+    }
+    out.push_back(b);
+  }
+  return out;
+}
+
+std::vector<std::pair<IdBytes, IdBytes>> limb_test_pairs() {
+  std::vector<std::pair<IdBytes, IdBytes>> pairs;
+  const auto edges = limb_edge_ids();
+  for (const IdBytes& a : edges) {
+    for (const IdBytes& b : edges) pairs.emplace_back(a, b);
+  }
+  Rng rng(160);
+  for (int i = 0; i < 2000; ++i) pairs.emplace_back(random_bytes(rng), random_bytes(rng));
+  return pairs;
+}
+
+TEST(Uid160Limbs, BytesRoundTrip) {
+  for (const auto& [a, b] : limb_test_pairs()) {
+    EXPECT_EQ(Uid160(a).bytes(), a);
+    EXPECT_EQ(Uid160(b).bytes(), b);
+  }
+}
+
+TEST(Uid160Limbs, RingDistanceCwMatchesByteReference) {
+  for (const auto& [a, b] : limb_test_pairs()) {
+    EXPECT_EQ(Uid160(a).ring_distance_cw(Uid160(b)).bytes(), ref_sub(b, a));
+    EXPECT_EQ(Uid160(b).ring_distance_cw(Uid160(a)).bytes(), ref_sub(a, b));
+  }
+}
+
+TEST(Uid160Limbs, BorrowCrossesBothLimbBoundaries) {
+  const Uid160 one = Uid160().with_digit(39, 1);
+  const Uid160 hi_limb_lsb = Uid160().with_digit(15, 1);  // 2^96, lowest bit of the top limb
+  IdBytes below{};  // 2^96 - 1: the two lower limbs all ones
+  std::fill(below.begin() + 8, below.end(), 0xFF);
+  // 2^96 - (2^96 - 1) borrows out of lo, through mid, into hi.
+  EXPECT_EQ(Uid160(below).ring_distance_cw(hi_limb_lsb), one);
+  EXPECT_EQ(one.ring_distance_cw(hi_limb_lsb), Uid160(below));
+  // Through zero: from 2^160 - 1 to 2^96 is 2^96 + 1.
+  IdBytes max{};
+  max.fill(0xFF);
+  EXPECT_EQ(Uid160(max).ring_distance_cw(hi_limb_lsb), hi_limb_lsb.with_digit(39, 1));
+}
+
+TEST(Uid160Limbs, OrderEqualsByteLexicographicOrder) {
+  // closer_to and the placement policies break ties with operator<, so
+  // it must stay the big-endian byte order.
+  for (const auto& [a, b] : limb_test_pairs()) {
+    EXPECT_EQ(Uid160(a) <=> Uid160(b), a <=> b);
+    EXPECT_EQ(Uid160(a) == Uid160(b), a == b);
+  }
+}
+
+TEST(Uid160Limbs, DigitsAndSharedPrefixMatchByteReference) {
+  for (const auto& [a, b] : limb_test_pairs()) {
+    const Uid160 ua(a), ub(b);
+    for (int i = 0; i < Uid160::kDigits; ++i) ASSERT_EQ(ua.digit(i), ref_digit(a, i)) << i;
+    EXPECT_EQ(ua.shared_prefix_digits(ub), ref_shared_prefix(a, b));
+    EXPECT_EQ(ub.shared_prefix_digits(ua), ref_shared_prefix(a, b));
+  }
+  // One differing digit at every position, including both limb edges.
+  const Uid160 base = Uid160::from_content("prefix");
+  for (int i = 0; i < Uid160::kDigits; ++i) {
+    const Uid160 other = base.with_digit(i, (base.digit(i) + 1) % 16);
+    EXPECT_EQ(base.shared_prefix_digits(other), i);
+  }
+}
+
+TEST(Uid160Limbs, WithDigitTouchesOnlyItsNibble) {
+  Rng rng(161);
+  for (int trial = 0; trial < 200; ++trial) {
+    const IdBytes b = random_bytes(rng);
+    const int i = static_cast<int>(rng.below(Uid160::kDigits));
+    const int v = static_cast<int>(rng.below(16));
+    IdBytes expect = b;
+    auto& byte = expect[static_cast<std::size_t>(i / 2)];
+    byte = static_cast<std::uint8_t>(i % 2 == 0 ? (byte & 0x0F) | (v << 4) : (byte & 0xF0) | v);
+    EXPECT_EQ(Uid160(b).with_digit(i, v).bytes(), expect);
+  }
+}
+
+TEST(Uid160Limbs, HexRoundTripMatchesBytes) {
+  for (const IdBytes& b : limb_edge_ids()) {
+    const Uid160 id(b);
+    const std::string h = id.to_hex();
+    for (int i = 0; i < Uid160::kDigits; ++i) {
+      const int expected = (h[static_cast<std::size_t>(i)] <= '9')
+                               ? h[static_cast<std::size_t>(i)] - '0'
+                               : h[static_cast<std::size_t>(i)] - 'a' + 10;
+      ASSERT_EQ(ref_digit(b, i), expected);
+    }
+    bool ok = false;
+    EXPECT_EQ(Uid160::from_hex(h, &ok), id);
+    EXPECT_TRUE(ok);
+  }
+}
+
+TEST(Uid160Limbs, WireFormIsTheBigEndianBytes) {
+  Rng rng(162);
+  for (int trial = 0; trial < 50; ++trial) {
+    const IdBytes b = random_bytes(rng);
+    BufWriter w;
+    w.uid(Uid160(b));
+    ASSERT_EQ(w.data().size(), 20u);
+    EXPECT_TRUE(std::equal(b.begin(), b.end(), w.data().begin()));
+    BufReader r(w.data());
+    EXPECT_EQ(r.uid().bytes(), b);
+    EXPECT_TRUE(r.at_end());
   }
 }
 

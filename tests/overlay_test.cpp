@@ -3,8 +3,11 @@
 // the key's true root), logarithmic hop scaling, and repair under churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "overlay/overlay_network.hpp"
@@ -73,6 +76,260 @@ TEST(OverlayNode, ReplicaSetClosestFirst) {
   ASSERT_LE(set.size(), 3u);
   for (std::size_t i = 1; i < set.size(); ++i) {
     EXPECT_TRUE(set[i - 1].id.closer_to(key, set[i].id));
+  }
+}
+
+// --- Incremental leaf pool against the sort-based reference ---
+//
+// SortedPoolOracle is the leaf-set maintenance OverlayNode used before
+// its candidate pool was kept ordered: every learn/forget re-sorts the
+// pool by ring distance (trim), then by clockwise and counter-clockwise
+// distance to pick each half.  The routing table, forwarding rules and
+// replica-set choice are copied unchanged beside it, so next_hop and
+// replica_set can be compared as well as the leaf set.
+
+class SortedPoolOracle {
+ public:
+  SortedPoolOracle(sim::Network& net, NodeRef self, bool proximity_selection)
+      : net_(net), self_(self), proximity_selection_(proximity_selection) {}
+
+  const std::vector<NodeRef>& leaf_set() const { return leaf_; }
+
+  void consider(const NodeRef& peer) {
+    if (!peer.valid() || peer.id == self_.id) return;
+    const int row = self_.id.shared_prefix_digits(peer.id);
+    if (row < Uid160::kDigits) {
+      NodeRef& slot =
+          table_[static_cast<std::size_t>(row)][static_cast<std::size_t>(peer.id.digit(row))];
+      if (!slot.valid() || slot.id == peer.id) {
+        slot = peer;
+      } else if (proximity_selection_) {
+        const auto& topo = net_.topology();
+        if (topo.latency(self_.host, peer.host) < topo.latency(self_.host, slot.host)) slot = peer;
+      }
+    }
+    rebuild_leaf(peer);
+  }
+
+  void remove(const NodeId& id) {
+    for (auto& row : table_) {
+      for (auto& slot : row) {
+        if (slot.valid() && slot.id == id) slot = NodeRef{};
+      }
+    }
+    std::erase_if(candidates_, [&](const NodeRef& r) { return r.id == id; });
+    rebuild_leaf(NodeRef{});
+  }
+
+  std::optional<NodeRef> next_hop(const ObjectId& key) {
+    for (;;) {
+      NodeRef furthest_cw{}, furthest_ccw{};
+      Uid160 best_cw, best_ccw;
+      bool repaired = false;
+      for (const NodeRef& p : leaf_) {
+        if (!alive(p)) {
+          remove(p.id);
+          repaired = true;
+          break;
+        }
+        const Uid160 dcw = self_.id.ring_distance_cw(p.id);
+        const Uid160 dccw = p.id.ring_distance_cw(self_.id);
+        if (dcw <= dccw && dcw >= best_cw) {
+          best_cw = dcw;
+          furthest_cw = p;
+        }
+        if (dccw < dcw && dccw >= best_ccw) {
+          best_ccw = dccw;
+          furthest_ccw = p;
+        }
+      }
+      if (repaired) continue;
+      const NodeId lo = furthest_ccw.valid() ? furthest_ccw.id : self_.id;
+      const NodeId hi = furthest_cw.valid() ? furthest_cw.id : self_.id;
+      const bool in_range = leaf_.empty() ||
+                            lo.ring_distance_cw(key) <= lo.ring_distance_cw(hi) ||
+                            leaf_.size() < OverlayNode::kLeafSetSize;
+      if (in_range) {
+        NodeRef best = self_;
+        for (const NodeRef& p : leaf_) {
+          if (p.id.closer_to(key, best.id)) best = p;
+        }
+        if (best.id == self_.id) return std::nullopt;
+        return best;
+      }
+      break;
+    }
+    const int row = self_.id.shared_prefix_digits(key);
+    if (row < Uid160::kDigits) {
+      NodeRef& slot =
+          table_[static_cast<std::size_t>(row)][static_cast<std::size_t>(key.digit(row))];
+      if (slot.valid()) {
+        if (alive(slot)) return slot;
+        remove(slot.id);
+      }
+    }
+    NodeRef best{};
+    auto offer = [&](const NodeRef& p) {
+      if (!p.valid() || p.id == self_.id || !alive(p)) return;
+      if (p.id.shared_prefix_digits(key) < row) return;
+      if (!p.id.closer_to(key, self_.id)) return;
+      if (!best.valid() || p.id.closer_to(key, best.id)) best = p;
+    };
+    for (const NodeRef& p : leaf_) offer(p);
+    for (const auto& r : table_) {
+      for (const NodeRef& p : r) offer(p);
+    }
+    if (best.valid()) return best;
+    return std::nullopt;
+  }
+
+  std::vector<NodeRef> replica_set(const ObjectId& key, int count) const {
+    std::vector<NodeRef> all = leaf_;
+    all.push_back(self_);
+    std::sort(all.begin(), all.end(),
+              [&](const NodeRef& a, const NodeRef& b) { return a.id.closer_to(key, b.id); });
+    if (static_cast<int>(all.size()) > count) all.resize(static_cast<std::size_t>(count));
+    return all;
+  }
+
+ private:
+  static constexpr std::size_t kCandidatePool = 48;
+
+  bool alive(const NodeRef& ref) const { return ref.valid() && net_.host_up(ref.host); }
+
+  void rebuild_leaf(const NodeRef& extra) {
+    if (extra.valid() && extra.id != self_.id) {
+      auto it = std::find(candidates_.begin(), candidates_.end(), extra);
+      if (it != candidates_.end()) {
+        it->host = extra.host;
+      } else {
+        candidates_.push_back(extra);
+      }
+    }
+    if (candidates_.size() > kCandidatePool) {
+      std::sort(candidates_.begin(), candidates_.end(), [&](const NodeRef& a, const NodeRef& b) {
+        return a.id.ring_distance(self_.id) < b.id.ring_distance(self_.id);
+      });
+      candidates_.resize(kCandidatePool);
+    }
+    std::vector<NodeRef> cw = candidates_;
+    std::sort(cw.begin(), cw.end(), [&](const NodeRef& a, const NodeRef& b) {
+      return self_.id.ring_distance_cw(a.id) < self_.id.ring_distance_cw(b.id);
+    });
+    std::vector<NodeRef> ccw = candidates_;
+    std::sort(ccw.begin(), ccw.end(), [&](const NodeRef& a, const NodeRef& b) {
+      return a.id.ring_distance_cw(self_.id) < b.id.ring_distance_cw(self_.id);
+    });
+    const std::size_t half = OverlayNode::kLeafSetSize / 2;
+    leaf_.clear();
+    for (std::size_t i = 0; i < std::min(half, cw.size()); ++i) leaf_.push_back(cw[i]);
+    for (std::size_t i = 0; i < std::min(half, ccw.size()); ++i) {
+      if (std::find(leaf_.begin(), leaf_.end(), ccw[i]) == leaf_.end()) leaf_.push_back(ccw[i]);
+    }
+  }
+
+  sim::Network& net_;
+  NodeRef self_;
+  bool proximity_selection_;
+  std::array<std::array<NodeRef, 16>, Uid160::kDigits> table_{};
+  std::vector<NodeRef> leaf_;
+  std::vector<NodeRef> candidates_;
+};
+
+// NodeRef's operator== compares ids only; host refreshes must match too.
+std::vector<std::pair<NodeId, sim::HostId>> placed(const std::vector<NodeRef>& refs) {
+  std::vector<std::pair<NodeId, sim::HostId>> out;
+  for (const NodeRef& r : refs) out.emplace_back(r.id, r.host);
+  return out;
+}
+
+std::optional<std::pair<NodeId, sim::HostId>> placed(const std::optional<NodeRef>& ref) {
+  if (!ref.has_value()) return std::nullopt;
+  return std::make_pair(ref->id, ref->host);
+}
+
+// Ids near zero: the top byte is 0x00 or 0xFF, the rest random, so the
+// ring segment around self straddles zero (and exact distance ties,
+// where the two pools may legitimately differ, stay impossible).
+NodeId near_zero_id(Rng& rng) {
+  std::array<std::uint8_t, 20> b{};
+  for (auto& x : b) x = static_cast<std::uint8_t>(rng.below(256));
+  b[0] = rng.below(2) == 0 ? 0x00 : 0xFF;
+  return Uid160(b);
+}
+
+struct PoolCase {
+  std::size_t peers;  // distinct peer ids in play
+  bool near_zero;     // ids straddling 0 instead of spread over the ring
+};
+
+void check_against_oracle(const PoolCase& c, std::uint64_t seed) {
+  constexpr std::size_t kHosts = 24;
+  sim::Scheduler sched;
+  auto topo = std::make_shared<sim::EuclideanTopology>(kHosts, 1000.0, duration::millis(1),
+                                                       duration::micros(100), seed);
+  sim::Network net(sched, topo);
+  Rng rng(seed);
+  auto draw_id = [&] { return c.near_zero ? near_zero_id(rng) : rng.uid(); };
+  const NodeRef self{draw_id(), 0};
+  OverlayNode node(net, self, true);
+  SortedPoolOracle oracle(net, self, true);
+  std::vector<NodeId> ids;
+  while (ids.size() < c.peers) {
+    const NodeId id = draw_id();
+    if (id != self.id && std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+  }
+  auto draw_host = [&] { return static_cast<sim::HostId>(1 + rng.below(kHosts - 1)); };
+
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t op = rng.below(100);
+    if (op < 70) {
+      // Learn a peer; a repeat id with a fresh host is a host refresh.
+      const NodeRef peer{ids[rng.below(ids.size())], draw_host()};
+      node.consider(peer);
+      oracle.consider(peer);
+    } else if (op < 85) {
+      // Forget a peer, known or not.
+      const NodeId id = rng.below(4) == 0 ? draw_id() : ids[rng.below(ids.size())];
+      node.remove(id);
+      oracle.remove(id);
+    } else if (op < 90) {
+      // Crash or restart a host; next_hop then repairs the same way.
+      const sim::HostId h = draw_host();
+      net.set_host_up(h, !net.host_up(h));
+    } else {
+      const NodeRef me{self.id, draw_host()};  // self is never learned
+      node.consider(me);
+      oracle.consider(me);
+    }
+    ASSERT_EQ(placed(node.leaf_set()), placed(oracle.leaf_set())) << "step " << step;
+    const ObjectId key = rng.below(2) == 0 ? draw_id() : ids[rng.below(ids.size())];
+    const int k = 1 + static_cast<int>(rng.below(OverlayNode::kLeafSetSize + 1));
+    ASSERT_EQ(placed(node.replica_set(key, k)), placed(oracle.replica_set(key, k)))
+        << "step " << step;
+    ASSERT_EQ(placed(node.next_hop(key)), placed(oracle.next_hop(key))) << "step " << step;
+    ASSERT_EQ(placed(node.leaf_set()), placed(oracle.leaf_set())) << "after next_hop, step "
+                                                                 << step;
+  }
+}
+
+TEST(LeafPoolOracle, SmallRingsWhereTheHalvesOverlap) {
+  for (std::size_t peers = 1; peers < OverlayNode::kLeafSetSize; ++peers) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      check_against_oracle({peers, seed % 2 == 0}, seed * 100 + peers);
+    }
+  }
+}
+
+TEST(LeafPoolOracle, PoolOverflowTrimsTheRingFarthest) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    check_against_oracle({120, false}, seed);
+  }
+}
+
+TEST(LeafPoolOracle, IdsStraddlingZero) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    check_against_oracle({seed % 2 == 0 ? 120u : 30u, true}, 1000 + seed);
   }
 }
 
@@ -251,6 +508,21 @@ TEST(OverlayNetwork, ProximityNeighbourSelectionLowersStretch) {
     return count > 0 ? sum_stretch / count : 1e9;
   };
   EXPECT_LT(mean_stretch(true), mean_stretch(false));
+}
+
+TEST(OverlayNetwork, UpkeepIsChargedToItsOwnProfileBucket) {
+  // Join, announce and gossip handling land in overlay_maint, not in
+  // the route-only overlay bucket (no route is issued here).
+  Fixture f(32);
+  f.net.enable_profiling();
+  OverlayNetwork::Params params;
+  params.maintenance_period = duration::seconds(5);
+  OverlayNetwork overlay(f.net, params);
+  overlay.build_ring(hosts_upto(32));
+  f.sched.run_for(duration::seconds(20));  // a few gossip rounds
+  const auto totals = f.net.profiler()->totals();
+  EXPECT_GT(totals.bucket_ns[static_cast<std::size_t>(obs::ProfileBucket::kOverlayMaint)], 0u);
+  EXPECT_EQ(totals.bucket_ns[static_cast<std::size_t>(obs::ProfileBucket::kOverlay)], 0u);
 }
 
 TEST(OverlayNetwork, RoutingTablesStayCompact) {
