@@ -13,6 +13,7 @@
 #include <span>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "wire/codec.hpp"
@@ -119,17 +120,25 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
     sched.run_until(sched.now() + duration::seconds(10));
   }
 
-  sim::Histogram latency;
-  std::uint64_t delivered = 0;
+  // One tally per subscriber: a subscriber's callbacks run on the shard
+  // that owns its host, so with several shards a shared counter would be
+  // written from several threads.  The tallies are merged after the run.
+  struct Tally {
+    std::uint64_t delivered = 0;
+    sim::Histogram latency;
+  };
+  std::vector<Tally> tallies(static_cast<std::size_t>(w.subscribers));
   SimTime published_at = 0;
   for (int s = 0; s < w.subscribers; ++s) {
     event::Filter f;
     f.where("type", event::Op::kEq, "reading")
         .where("topic", event::Op::kEq, "topic" + std::to_string(s % 8));
-    service->subscribe(static_cast<sim::HostId>(w.brokers + s), f, [&](const event::Event&) {
-      ++delivered;
-      latency.record(to_millis(sched.now() - published_at));
-    });
+    Tally& tally = tallies[static_cast<std::size_t>(s)];
+    service->subscribe(static_cast<sim::HostId>(w.brokers + s), f,
+                       [&tally, &sched, &published_at](const event::Event&) {
+                         ++tally.delivered;
+                         tally.latency.record(to_millis(sched.now() - published_at));
+                       });
   }
   sched.run_until(sched.now() + duration::seconds(30));
   net.reset_stats();
@@ -145,6 +154,13 @@ RunResult run(const Workload& w, const std::string& mode, unsigned threads = 1,
   }
   sched.run_until(sched.now() + duration::seconds(10));
   (void)siena;
+
+  std::uint64_t delivered = 0;
+  sim::Histogram latency;
+  for (const Tally& tally : tallies) {
+    delivered += tally.delivered;
+    latency.merge(tally.latency);
+  }
 
   RunResult r;
   r.messages = net.stats().messages_sent;

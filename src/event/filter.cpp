@@ -46,20 +46,20 @@ bool contains(const std::string& s, const std::string& p) {
 }
 }  // namespace
 
-bool Constraint::matches(const AttrValue& v) const {
+bool op_holds(Op op, const AttrValue& v, const AttrValue& operand) {
   switch (op) {
     case Op::kExists:
       return true;
     case Op::kPrefix:
-      return v.is_string() && value.is_string() && starts_with(v.str(), value.str());
+      return v.is_string() && operand.is_string() && starts_with(v.str(), operand.str());
     case Op::kSuffix:
-      return v.is_string() && value.is_string() && ends_with(v.str(), value.str());
+      return v.is_string() && operand.is_string() && ends_with(v.str(), operand.str());
     case Op::kSubstring:
-      return v.is_string() && value.is_string() && contains(v.str(), value.str());
+      return v.is_string() && operand.is_string() && contains(v.str(), operand.str());
     default:
       break;
   }
-  const auto c = v.compare(value);
+  const auto c = v.compare(operand);
   if (!c.has_value()) return false;  // incomparable types never match
   switch (op) {
     case Op::kEq: return *c == 0;
@@ -71,6 +71,8 @@ bool Constraint::matches(const AttrValue& v) const {
     default: return false;
   }
 }
+
+bool Constraint::matches(const AttrValue& v) const { return op_holds(op, v, value); }
 
 const std::string& Constraint::attribute() const {
   static const std::string kEmpty;
@@ -159,13 +161,15 @@ Filter& Filter::where(AtomId atom, Op op, AttrValue value) {
   return *this;
 }
 
-bool Filter::matches(const Event& e) const {
-  for (const Constraint& c : constraints_) {
+bool matches_all(std::span<const Constraint> constraints, const Event& e) {
+  for (const Constraint& c : constraints) {
     const AttrValue* v = e.get(c.atom);
     if (v == nullptr || !c.matches(*v)) return false;
   }
   return true;
 }
+
+bool Filter::matches(const Event& e) const { return matches_all(constraints_, e); }
 
 bool Filter::covers(const Filter& other) const {
   for (const Constraint& mine : constraints_) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,6 +43,11 @@ enum class Op {
 
 const char* op_name(Op op);
 Result<Op> op_from_name(std::string_view name);
+
+/// The comparison behind Constraint::matches: does `v` satisfy `op`
+/// against `operand`?  The match engine's joins compare two bound values
+/// through it without building a Constraint.
+bool op_holds(Op op, const AttrValue& v, const AttrValue& operand);
 
 /// One attribute constraint.  The attribute is held as an interned
 /// AtomId (event/atom.hpp), so matching probes events by integer key;
@@ -71,6 +77,10 @@ struct Constraint {
 
   bool operator==(const Constraint&) const = default;
 };
+
+/// True when `e` carries every constrained attribute with a satisfying
+/// value (Filter::matches over a bare constraint list).
+bool matches_all(std::span<const Constraint> constraints, const Event& e);
 
 class Filter {
  public:

@@ -9,11 +9,21 @@
 // windows and against indexed knowledge-base probes, instead of
 // rescanning history (the naive strategy NaiveEngine implements for the
 // C7 ablation).
+//
+// add_rule() compiles each rule once (DESIGN.md §14): aliases become
+// binding slots, attribute names become AtomIds, equality joins against
+// each fact pattern become a planned probe, and the emit spec becomes a
+// fixed list of output attributes.  Matching an event then does no
+// string work and no allocation per candidate binding; the suggestion
+// event is built only when a firing survives its cooldown.
 #pragma once
 
 #include <deque>
 #include <functional>
-#include <map>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "match/knowledge.hpp"
 #include "match/rule.hpp"
@@ -32,11 +42,11 @@ class MatchEngine {
  public:
   using Sink = std::function<void(const event::Event&)>;
 
-  explicit MatchEngine(KnowledgeBase& kb) : kb_(kb) {}
+  explicit MatchEngine(KnowledgeBase& kb);
+  ~MatchEngine();
 
   void add_rule(Rule rule);
   bool remove_rule(const std::string& name);
-  const std::vector<Rule>& rules() const { return rules_; }
 
   /// True if some rule's triggers accept events of this type — the
   /// "unknown event type" test that routes to discovery matchlets (§5).
@@ -44,33 +54,48 @@ class MatchEngine {
 
   /// Feeds one event at virtual time `now`; synthesised events go to
   /// `sink`.
+  ///
+  /// `now` must not go backwards from one call to the next: windows
+  /// expire, and the cooldown table forgets entries, relative to the
+  /// largest `now` seen.  `sink` runs synchronously while the engine
+  /// holds pointers into its windows and into the knowledge base, so it
+  /// must not call back into this engine or modify the knowledge base.
   void on_event(const event::Event& e, SimTime now, const Sink& sink);
 
   const EngineStats& stats() const { return stats_; }
 
+  /// Entries in the cooldown table.  A firing's entry is forgotten once
+  /// the cooldown of the rule that wrote it has elapsed (checked each
+  /// time the table has doubled), so the table stays proportional to the
+  /// distinct suggestions of the last cooldown period.
+  std::size_t cooldown_entries() const { return last_fired_.size(); }
+
  private:
-  struct RuleState {
-    Rule rule;
-    // Window buffer per trigger alias, oldest first.
-    std::map<std::string, std::deque<event::Event>> windows;
+  struct CompiledRule;
+  struct LastFired {
+    SimTime at = 0;
+    SimDuration cooldown = 0;
   };
 
-  void expire(RuleState& state, SimTime now);
-  void try_fire(RuleState& state, std::size_t seed_trigger, const event::Event& seed,
+  void expire(CompiledRule& rule, SimTime now);
+  void try_fire(CompiledRule& rule, std::size_t seed_trigger, const event::Event& seed,
                 SimTime now, const Sink& sink);
-  bool extend(RuleState& state, Binding& binding, std::size_t next_trigger,
-              const event::Event* seed, std::size_t seed_index, SimTime now, const Sink& sink,
-              bool& fired);
-  bool bind_facts(RuleState& state, Binding& binding, std::size_t next_fact, const Sink& sink,
-                  SimTime now, bool& fired);
-  void fire(RuleState& state, const Binding& binding, SimTime now, const Sink& sink,
-            bool& fired);
-  static std::string emission_key(const event::Event& e);
+  void extend(CompiledRule& rule, std::size_t next_trigger, std::size_t seed_trigger,
+              SimTime now, const Sink& sink);
+  void bind_facts(CompiledRule& rule, std::size_t next_fact, SimTime now, const Sink& sink);
+  void fire(CompiledRule& rule, SimTime now, const Sink& sink);
+  /// Drops cooldown entries that can no longer suppress anything.
+  void sweep_cooldowns();
 
   KnowledgeBase& kb_;
-  std::vector<Rule> rules_;  // kept in sync with states_ (same order)
-  std::vector<RuleState> states_;
-  std::map<std::string, SimTime> last_fired_;  // rule name + key -> time
+  // Owned through pointers: compiled plans point into their own rule.
+  std::vector<std::unique_ptr<CompiledRule>> rules_;
+  // Cooldown key ("rule|atom=value;..." over the suggestion's attributes
+  // but `time`, in AtomId order) -> the last emission with that key.
+  std::unordered_map<std::string, LastFired> last_fired_;
+  std::string cooldown_key_;  // reused by fire(): no allocation once warm
+  std::size_t sweep_at_ = 0;  // sweep when last_fired_ reaches this size
+  SimTime latest_ = 0;        // largest `now` seen
   EngineStats stats_;
 };
 

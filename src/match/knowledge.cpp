@@ -51,7 +51,7 @@ void KnowledgeBase::index_fact(FactId id, const Fact& fact) {
 void KnowledgeBase::unindex_fact(FactId id, const Fact& fact) {
   for (const auto& [atom, value] : fact.attributes()) {
     if (!value.is_string()) continue;
-    auto it = index_.find({atom, value.str()});
+    auto it = index_.find(IndexKeyView{atom, value.str()});
     if (it != index_.end()) {
       it->second.erase(id);
       if (it->second.empty()) index_.erase(it);
@@ -73,38 +73,31 @@ std::vector<const Fact*> KnowledgeBase::all() const {
   return out;
 }
 
-std::vector<const Fact*> KnowledgeBase::query(const event::Filter& filter) const {
-  // Choose the most selective string-equality constraint as the index
-  // probe.
-  const std::set<FactId>* candidates = nullptr;
-  for (const auto& c : filter.constraints()) {
+const std::set<FactId>* KnowledgeBase::candidates(
+    std::span<const event::Constraint> probe) const {
+  static const std::set<FactId> kNone;
+  const std::set<FactId>* ids = nullptr;
+  for (const auto& c : probe) {
     if (c.op != event::Op::kEq || !c.value.is_string()) continue;
-    auto it = index_.find({c.atom, c.value.str()});
+    auto it = index_.find(IndexKeyView{c.atom, c.value.str()});
     if (it == index_.end()) {
       // Indexed attribute with no entry: nothing can match.
       ++stats_.indexed_queries;
-      return {};
+      return &kNone;
     }
-    if (candidates == nullptr || it->second.size() < candidates->size()) {
-      candidates = &it->second;
-    }
+    if (ids == nullptr || it->second.size() < ids->size()) ids = &it->second;
   }
-
-  std::vector<const Fact*> out;
-  if (candidates != nullptr) {
+  if (ids != nullptr) {
     ++stats_.indexed_queries;
-    for (FactId id : *candidates) {
-      ++stats_.facts_examined;
-      const Fact& f = facts_.at(id);
-      if (filter.matches(f)) out.push_back(&f);
-    }
   } else {
     ++stats_.scan_queries;
-    for (const auto& [id, f] : facts_) {
-      ++stats_.facts_examined;
-      if (filter.matches(f)) out.push_back(&f);
-    }
   }
+  return ids;
+}
+
+std::vector<const Fact*> KnowledgeBase::query(const event::Filter& filter) const {
+  std::vector<const Fact*> out;
+  visit(filter.constraints(), [&out](const Fact& f) { out.push_back(&f); });
   return out;
 }
 

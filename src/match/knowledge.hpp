@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "event/event.hpp"
@@ -45,9 +47,28 @@ class KnowledgeBase {
   const Fact* fact(FactId id) const;
   std::size_t size() const { return facts_.size(); }
 
-  /// All facts matching the filter.  Uses the inverted index when the
-  /// filter has at least one string-equality constraint; scans
-  /// otherwise.
+  /// Calls `fn(fact)` for every fact satisfying all `probe`
+  /// constraints, in fact-id order.  Uses the inverted index when the
+  /// probe has at least one string-equality constraint (the most
+  /// selective one); scans otherwise.  Allocates nothing.  `fn` must not
+  /// modify this knowledge base.
+  template <class Fn>
+  void visit(std::span<const event::Constraint> probe, Fn&& fn) const {
+    if (const std::set<FactId>* ids = candidates(probe)) {
+      for (FactId id : *ids) {
+        ++stats_.facts_examined;
+        const Fact& f = facts_.at(id);
+        if (event::matches_all(probe, f)) fn(f);
+      }
+    } else {
+      for (const auto& [id, f] : facts_) {
+        ++stats_.facts_examined;
+        if (event::matches_all(probe, f)) fn(f);
+      }
+    }
+  }
+
+  /// All facts matching the filter (visit() collected into a vector).
   std::vector<const Fact*> query(const event::Filter& filter) const;
 
   /// Every fact, unindexed (the naive baseline's access path).
@@ -59,13 +80,31 @@ class KnowledgeBase {
   const KnowledgeStats& stats() const { return stats_; }
 
  private:
+  /// The candidate set for `probe`, counting the query as indexed or
+  /// scanned: the smallest posting list among its string-equality
+  /// constraints (an empty set when one of them has none), or nullptr
+  /// to scan every fact.
+  const std::set<FactId>* candidates(std::span<const event::Constraint> probe) const;
   void index_fact(FactId id, const Fact& fact);
   void unindex_fact(FactId id, const Fact& fact);
 
+  using IndexKey = std::pair<event::AtomId, std::string>;
+  using IndexKeyView = std::pair<event::AtomId, std::string_view>;
+  /// Orders keys and views alike, so probes look up by view and copy no
+  /// string.
+  struct IndexLess {
+    using is_transparent = void;
+    static IndexKeyView view(const IndexKey& k) { return {k.first, k.second}; }
+    static IndexKeyView view(const IndexKeyView& k) { return k; }
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+      return view(a) < view(b);
+    }
+  };
+
   std::map<FactId, Fact> facts_;
-  // (attribute, string value) -> fact ids.
-  // String-equality index keyed by (interned attribute, value).
-  std::map<std::pair<event::AtomId, std::string>, std::set<FactId>> index_;
+  // String-equality index: (interned attribute, string value) -> fact ids.
+  std::map<IndexKey, std::set<FactId>, IndexLess> index_;
   FactId next_id_ = 1;
   mutable KnowledgeStats stats_;
 };

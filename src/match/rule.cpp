@@ -53,16 +53,22 @@ bool join_holds(const JoinCondition& join, const Binding& binding) {
   const auto right = resolve(join.right, binding);
   // Bound but attribute missing: the condition fails.
   if (!left.has_value() || !right.has_value()) return false;
-  const event::Constraint c{"", join.op, *right};
-  return c.matches(*left);
+  return event::op_holds(join.op, *left, *right);
 }
 
 bool spatial_holds(const SpatialCondition& cond, const Binding& binding) {
   const event::Event* l = bound(binding, cond.left_alias);
   const event::Event* r = bound(binding, cond.right_alias);
   if (l == nullptr || r == nullptr) return true;  // defer
-  const auto llat = l->get_real("lat"), llon = l->get_real("lon");
-  const auto rlat = r->get_real("lat"), rlon = r->get_real("lon");
+  return spatial_holds(cond, *l, *r);
+}
+
+bool spatial_holds(const SpatialCondition& cond, const event::Event& left,
+                   const event::Event& right) {
+  static const event::AtomId lat = event::intern("lat");
+  static const event::AtomId lon = event::intern("lon");
+  const auto llat = left.get_real(lat), llon = left.get_real(lon);
+  const auto rlat = right.get_real(lat), rlon = right.get_real(lon);
   if (!llat || !llon || !rlat || !rlon) return false;
   const GeoPoint a{*llat, *llon};
   const GeoPoint b{*rlat, *rlon};

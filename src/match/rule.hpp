@@ -116,5 +116,8 @@ const event::Event* bound(const Binding& binding, const std::string& alias);
 bool join_holds(const JoinCondition& join, const Binding& binding);
 /// Evaluates one spatial condition under the same convention.
 bool spatial_holds(const SpatialCondition& cond, const Binding& binding);
+/// The spatial test itself, between the two bound events.
+bool spatial_holds(const SpatialCondition& cond, const event::Event& left,
+                   const event::Event& right);
 
 }  // namespace aa::match

@@ -4,6 +4,7 @@
 // baseline, and discovery matchlets.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "event/filter_parser.hpp"
@@ -370,6 +371,277 @@ TEST(NaiveEquivalence, SameMatchesOnInWindowWorkload) {
   EXPECT_EQ(inc_count, naive_count);
   // And the incremental engine explored far fewer candidates.
   EXPECT_LT(incremental.stats().candidate_bindings, naive.candidate_bindings());
+}
+
+// --- Differential oracle: the incremental engine against NaiveEngine ---
+//
+// Random rules (1-2 triggers, 0-2 fact patterns, eq/ge/ne joins over
+// bound aliases, constants and an alias no pattern binds, emit sets with
+// constants and a `type` overwrite) and random streams over mixed-type
+// attributes.  The engines must emit the same ordered sequence of
+// events, attribute for attribute.  NaiveEngine has no cooldown, so its
+// stream passes through CooldownReference first.
+
+/// The cooldown contract restated over emitted events: key
+/// "rule|atom=text;..." over every attribute but `time`, in the event's
+/// canonical (AtomId) order; a firing is suppressed while the previous
+/// admitted firing with the same key is younger than the cooldown.
+class CooldownReference {
+ public:
+  bool admit(const Event& e, SimDuration cooldown, SimTime now) {
+    if (cooldown <= 0) return true;
+    std::string key = e.get_string("rule").value() + "|";
+    for (const auto& [atom, value] : e.attributes()) {
+      if (atom == event::time_atom()) continue;
+      key += event::atom_name(atom) + "=" + value.to_text() + ";";
+    }
+    auto it = last_.find(key);
+    if (it != last_.end() && now - it->second < cooldown) return false;
+    last_[key] = now;
+    return true;
+  }
+
+ private:
+  std::map<std::string, SimTime> last_;
+};
+
+event::AttrValue random_value(Rng& rng) {
+  switch (rng.below(4)) {
+    case 0: return "u" + std::to_string(rng.below(8));
+    case 1: return static_cast<std::int64_t>(rng.below(4));
+    case 2: return static_cast<double>(rng.below(8)) / 2.0;
+    default: return rng.chance(0.5) ? event::AttrValue(1) : event::AttrValue("1");
+  }
+}
+
+const char* const kOracleAttrs[] = {"user", "v", "x", "s", "missing"};
+
+std::string random_attr(Rng& rng) { return kOracleAttrs[rng.below(5)]; }
+
+Event random_oracle_event(Rng& rng, SimTime t) {
+  Event e(std::string(1, static_cast<char>('a' + rng.below(3))));
+  e.set("user", "u" + std::to_string(rng.below(8)));
+  if (rng.chance(0.8)) e.set("v", static_cast<std::int64_t>(rng.below(4)));
+  if (rng.chance(0.5)) e.set("x", static_cast<double>(rng.below(8)) / 2.0);
+  if (rng.chance(0.5)) e.set("s", rng.chance(0.5) ? event::AttrValue(1) : event::AttrValue("1"));
+  e.set_time(t);
+  return e;
+}
+
+Fact random_oracle_fact(Rng& rng) {
+  Fact fact;
+  fact.set("kind", rng.chance(0.5) ? "pref" : "shop");
+  fact.set("user", "u" + std::to_string(rng.below(8)));
+  if (rng.chance(0.8)) fact.set("v", static_cast<std::int64_t>(rng.below(4)));
+  if (rng.chance(0.5)) fact.set("x", static_cast<double>(rng.below(8)) / 2.0);
+  if (rng.chance(0.3)) fact.set("s", rng.chance(0.5) ? event::AttrValue(1) : event::AttrValue("1"));
+  return fact;
+}
+
+Operand random_operand(Rng& rng, const std::vector<std::string>& aliases) {
+  if (rng.chance(0.2)) return Operand::lit(random_value(rng));
+  return Operand::ref(aliases[rng.below(aliases.size())], random_attr(rng));
+}
+
+Rule random_oracle_rule(Rng& rng, int index, bool overwrite_type) {
+  Rule rule;
+  rule.name = "r" + std::to_string(index);
+  rule.cooldown = rng.chance(0.5) ? duration::seconds(rng.range(5, 90)) : 0;
+  // Every alias a join or emit set may name, including one no pattern
+  // binds: conditions over it are vacuous, sets from it are skipped.
+  std::vector<std::string> aliases = {"ghost"};
+  const std::size_t n_triggers = 1 + rng.below(2);
+  for (std::size_t i = 0; i < n_triggers; ++i) {
+    Filter filter = Filter().where("type", Op::kEq,
+                                   std::string(1, static_cast<char>('a' + rng.below(3))));
+    if (rng.chance(0.3)) filter.where("v", Op::kGe, static_cast<std::int64_t>(rng.below(3)));
+    rule.triggers.push_back(
+        {"t" + std::to_string(i), filter, duration::seconds(rng.range(5, 60))});
+    aliases.push_back(rule.triggers.back().alias);
+  }
+  const std::size_t n_facts = rng.below(3);
+  for (std::size_t i = 0; i < n_facts; ++i) {
+    Filter filter;
+    switch (rng.below(4)) {
+      case 0: break;  // scan every fact
+      case 1: filter.where("v", Op::kGe, 1); break;  // scan, non-string probe
+      default: filter.where("kind", Op::kEq, rng.chance(0.5) ? "pref" : "shop");
+    }
+    rule.facts.push_back({"f" + std::to_string(i), filter});
+    aliases.push_back(rule.facts.back().alias);
+  }
+  const Op kOps[] = {Op::kEq, Op::kEq, Op::kGe, Op::kNe};
+  const std::size_t n_joins = rng.below(4);
+  for (std::size_t i = 0; i < n_joins; ++i) {
+    rule.joins.push_back(
+        {random_operand(rng, aliases), kOps[rng.below(4)], random_operand(rng, aliases)});
+  }
+  rule.emit.type = "out";
+  const char* const kNames[] = {"user", "v", "w", "k"};
+  const std::size_t n_sets = rng.below(4);
+  for (std::size_t i = 0; i < n_sets; ++i) {
+    const std::string name = kNames[rng.below(4)];
+    if (rng.chance(0.3)) {
+      rule.emit.sets.push_back({name, random_value(rng), "", ""});
+    } else {
+      rule.emit.sets.push_back(
+          {name, std::nullopt, aliases[rng.below(aliases.size())], random_attr(rng)});
+    }
+  }
+  if (overwrite_type) {
+    rule.emit.sets.push_back({"type", std::nullopt, rule.triggers[0].alias, "user"});
+  }
+  return rule;
+}
+
+std::string describe_all(const std::vector<Event>& events) {
+  std::string out;
+  for (const Event& e : events) out += e.describe() + "\n";
+  return out;
+}
+
+TEST(NaiveEquivalence, SameOrderedEmissionsOnRandomRules) {
+  constexpr int kCases = 240;
+  std::uint64_t total_emitted = 0, total_suppressed = 0, total_fact_rules = 0;
+  for (int c = 0; c < kCases; ++c) {
+    Rng rng(1000 + static_cast<std::uint64_t>(c));
+    KnowledgeBase kb;
+    const std::size_t n_facts = 4 + rng.below(12);
+    for (std::size_t i = 0; i < n_facts; ++i) kb.add(random_oracle_fact(rng));
+
+    MatchEngine incremental(kb);
+    NaiveEngine naive(kb);
+    std::map<std::string, SimDuration> cooldowns;
+    const int n_rules = 1 + static_cast<int>(rng.below(2));
+    for (int r = 0; r < n_rules; ++r) {
+      const Rule rule = random_oracle_rule(rng, r, c % 4 == 0 && r == 0);
+      cooldowns[rule.name] = rule.cooldown;
+      if (!rule.facts.empty()) ++total_fact_rules;
+      incremental.add_rule(rule);
+      naive.add_rule(rule);
+    }
+
+    std::vector<Event> got, want;
+    CooldownReference reference;
+    SimTime t = 0;
+    for (int i = 0; i < 40; ++i) {
+      t += duration::seconds(rng.range(1, 8));
+      const Event e = random_oracle_event(rng, t);
+      incremental.on_event(e, t, [&](const Event& out) { got.push_back(out); });
+      naive.on_event(e, t, [&](const Event& out) {
+        if (reference.admit(out, cooldowns.at(out.get_string("rule").value()), t)) {
+          want.push_back(out);
+        }
+      });
+    }
+    ASSERT_TRUE(got == want) << "case " << c << "\n--- incremental\n"
+                             << describe_all(got) << "--- naive\n"
+                             << describe_all(want);
+    EXPECT_EQ(incremental.stats().matches_emitted, got.size());
+    total_emitted += got.size();
+    total_suppressed += incremental.stats().cooldown_suppressed;
+  }
+  // The cases exercise what they claim to: many emissions, rules with
+  // fact patterns, and cooldown suppression.
+  EXPECT_GT(total_emitted, 2000u);
+  EXPECT_GT(total_fact_rules, 100u);
+  EXPECT_GT(total_suppressed, 100u);
+}
+
+// --- Cooldown-key and alias-binding semantics, pinned ---
+
+Rule ping_rule(SimDuration cooldown, std::vector<Assignment> sets) {
+  Rule rule;
+  rule.name = "r";
+  rule.cooldown = cooldown;
+  rule.triggers = {{"t", f("type = ping"), duration::minutes(1)}};
+  rule.emit.type = "alert";
+  rule.emit.sets = std::move(sets);
+  return rule;
+}
+
+Event ping(std::optional<event::AttrValue> v, SimTime t) {
+  Event e("ping");
+  if (v.has_value()) e.set("v", *v);
+  e.set_time(t);
+  return e;
+}
+
+TEST(Engine, CooldownKeyComparesValuesAsTextAndIgnoresTime) {
+  EngineFixture fx;
+  fx.engine.add_rule(ping_rule(duration::minutes(10), {{"v", std::nullopt, "t", "v"}}));
+  const SimTime s = duration::seconds(1);
+  fx.engine.on_event(ping(event::AttrValue(1), s), s, fx.sink);
+  // String "1" renders like int 1, and the differing `time` is not part
+  // of the key: suppressed.
+  fx.engine.on_event(ping(event::AttrValue("1"), 2 * s), 2 * s, fx.sink);
+  fx.engine.on_event(ping(event::AttrValue(2), 3 * s), 3 * s, fx.sink);
+  ASSERT_EQ(fx.out.size(), 2u);
+  EXPECT_EQ(fx.engine.stats().cooldown_suppressed, 1u);
+  EXPECT_EQ(fx.out[0].get_int("v").value(), 1);
+  EXPECT_EQ(fx.out[1].get_int("v").value(), 2);
+}
+
+TEST(Engine, CooldownKeyUsesTheLastResolvedSetOfAName) {
+  EngineFixture fx;
+  fx.engine.add_rule(ping_rule(duration::minutes(10), {{"v", event::AttrValue(0), "", ""},
+                                                      {"v", std::nullopt, "t", "v"}}));
+  const SimTime s = duration::seconds(1);
+  fx.engine.on_event(ping(event::AttrValue(1), s), s, fx.sink);         // v=1
+  fx.engine.on_event(ping(event::AttrValue(2), 2 * s), 2 * s, fx.sink); // v=2: new key
+  fx.engine.on_event(ping(event::AttrValue(1), 3 * s), 3 * s, fx.sink); // v=1 again
+  fx.engine.on_event(ping(std::nullopt, 4 * s), 4 * s, fx.sink);        // constant v=0
+  fx.engine.on_event(ping(std::nullopt, 5 * s), 5 * s, fx.sink);        // v=0 again
+  ASSERT_EQ(fx.out.size(), 3u);
+  EXPECT_EQ(fx.engine.stats().cooldown_suppressed, 2u);
+  EXPECT_EQ(fx.out[0].get_int("v").value(), 1);
+  EXPECT_EQ(fx.out[1].get_int("v").value(), 2);
+  EXPECT_EQ(fx.out[2].get_int("v").value(), 0);
+}
+
+TEST(Engine, CooldownTableStaysBoundedUnderDistinctKeys) {
+  KnowledgeBase kb;
+  MatchEngine engine(kb);
+  engine.add_rule(ping_rule(duration::seconds(1), {{"v", std::nullopt, "t", "v"}}));
+  constexpr int kKeys = 100000;
+  std::uint64_t emitted = 0;
+  std::size_t peak = 0;
+  const MatchEngine::Sink sink = [&emitted](const Event&) { ++emitted; };
+  for (int i = 0; i < kKeys; ++i) {
+    const SimTime t = i * duration::millis(100);
+    engine.on_event(ping(event::AttrValue(i), t), t, sink);
+    // The previous key fired 100 ms ago: still cooling down, whatever
+    // the table has forgotten in between.
+    if (i > 0) engine.on_event(ping(event::AttrValue(i - 1), t), t, sink);
+    peak = std::max(peak, engine.cooldown_entries());
+  }
+  EXPECT_EQ(emitted, static_cast<std::uint64_t>(kKeys));
+  EXPECT_EQ(engine.stats().cooldown_suppressed, static_cast<std::uint64_t>(kKeys - 1));
+  // Ten keys are live at a time; the table holds a constant multiple.
+  EXPECT_LE(peak, 128u);
+}
+
+TEST(Engine, RepeatedAliasSharesOneWindowAndFirstBindingWins) {
+  EngineFixture fx;
+  Rule rule;
+  rule.name = "dup";
+  rule.triggers = {{"x", f("type = a"), duration::minutes(1)},
+                   {"x", f("type = b"), duration::minutes(1)}};
+  rule.emit.type = "o";
+  rule.emit.sets = {{"v", std::nullopt, "x", "v"}};
+  fx.engine.add_rule(rule);
+  const SimTime s = duration::seconds(1);
+  Event a1("a"), b1("b"), a2("a");
+  a1.set("v", 1).set_time(s);
+  b1.set("v", 2).set_time(2 * s);
+  a2.set("v", 3).set_time(3 * s);
+  fx.engine.on_event(a1, s, fx.sink);      // the shared window is empty
+  fx.engine.on_event(b1, 2 * s, fx.sink);  // joins a1; "x" resolves to b1
+  fx.engine.on_event(a2, 3 * s, fx.sink);  // joins a1 and b1; "x" is a2
+  ASSERT_EQ(fx.out.size(), 3u);
+  EXPECT_EQ(fx.out[0].get_int("v").value(), 2);
+  EXPECT_EQ(fx.out[1].get_int("v").value(), 3);
+  EXPECT_EQ(fx.out[2].get_int("v").value(), 3);
 }
 
 // --- Matchlet as pipeline component ---
