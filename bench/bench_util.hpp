@@ -168,21 +168,6 @@ class Snapshot {
   sim::MetricsRegistry reg_;
 };
 
-/// Parses a `--threads N` argument pair: scheduler shards to drive the
-/// simulation with (Network::set_threads).  Defaults to 1 (sequential).
-/// Benches apply it to sections whose subsystems are shard-safe (event
-/// bus, raw datagrams, reliable transport, durable disk); sections that
-/// exercise the overlay or object store stay sequential and say so.
-inline unsigned threads_arg(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--threads") {
-      const int n = std::atoi(argv[i + 1]);
-      return n > 1 ? static_cast<unsigned>(n) : 1u;
-    }
-  }
-  return 1;
-}
-
 /// Parses a `--codec <name>` argument pair: wire codec for sections
 /// that route through a SienaNetwork ("xml" or "binary").  Defaults to
 /// "xml" so snapshot baselines keep pricing the interop encoding.

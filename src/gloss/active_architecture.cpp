@@ -154,11 +154,6 @@ ActiveArchitecture::ActiveArchitecture(Config config) : config_(config) {
 
   sched_.run_for(config_.settle_time);
 
-  // Shard only after settling: construction wires handlers and seeds
-  // periodic maintenance from root context, which is cheapest to leave
-  // on the sequential path.
-  if (config_.threads > 1) net_->set_threads(config_.threads);
-
   if (config_.profiling) net_->enable_profiling(config_.profiling_retention);
   if (config_.timeline_interval > 0) {
     hub_.start_timeline(sched_, config_.timeline_interval, config_.timeline_retention);

@@ -74,21 +74,12 @@ class ActiveArchitecture {
     SimDuration evolution_period = duration::seconds(10);
     /// Virtual time the constructor runs forward to settle the overlay.
     SimDuration settle_time = duration::seconds(30);
-    /// Scheduler shards driving the simulation (Network::set_threads),
-    /// applied after the overlay has settled.  Determinism is pinned for
-    /// the event-bus / reliable-transport / durable-disk paths (the
-    /// chaos suite runs bit-identical at any shard count).  Leave at 1
-    /// for workloads that drive the object store, overlay routing or
-    /// pipelines concurrently: those subsystems still keep store-wide
-    /// tables that only the sequential scheduler may touch (DESIGN.md,
-    /// sharded scheduler — storage limitation).
-    unsigned threads = 1;
-    /// Opt-in scheduler profiling (Network::enable_profiling): per-shard
-    /// wall-clock attribution exported under "sched.*" in snapshots and
-    /// as Perfetto counter tracks.  Observation-only — digests are
+    /// Opt-in scheduler profiling (Network::enable_profiling): wall-clock
+    /// attribution exported under "sched.*" in snapshots and as Perfetto
+    /// counter tracks.  Observation-only — digests are
     /// unchanged with it on.
     bool profiling = false;
-    /// Ring-buffer cap on the profiler's periodic per-shard samples.
+    /// Ring-buffer cap on the profiler's periodic samples.
     std::size_t profiling_retention = 4096;
     /// When > 0, the metrics hub snapshots every subsystem's stats at
     /// this virtual-time interval into a JSONL-exportable timeline.
@@ -176,7 +167,7 @@ class ActiveArchitecture {
   void enable_tracing(std::uint64_t sample_every = 1) {
     net_->enable_tracing(sample_every);
   }
-  /// Turns on per-shard scheduler profiling (see obs/profiler.hpp);
+  /// Turns on scheduler profiling (see obs/profiler.hpp);
   /// counters appear under "sched.*" in metrics snapshots.
   void enable_profiling(std::size_t sample_retention = 4096) {
     net_->enable_profiling(sample_retention);

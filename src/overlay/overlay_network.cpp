@@ -94,8 +94,7 @@ void OverlayNetwork::on_message(sim::HostId host, const sim::Packet& packet) {
     return;
   }
   // Everything else is upkeep; routed messages open their own span.
-  obs::Profiler::Scope upkeep(net_.profiler(), net_.scheduler().current_slot(),
-                              obs::ProfileBucket::kOverlayMaint);
+  obs::Profiler::Scope upkeep(net_.profiler(), obs::ProfileBucket::kOverlayMaint);
   if (const auto* join_req = sim::packet_body<JoinRequest>(packet)) {
     handle_join_request(node, *join_req);
   } else if (const auto* reply = sim::packet_body<JoinReply>(packet)) {
@@ -196,8 +195,7 @@ void OverlayNetwork::handle_join_request(OverlayNode& node, JoinRequest req) {
 }
 
 void OverlayNetwork::maintenance_tick() {
-  obs::Profiler::Scope upkeep(net_.profiler(), net_.scheduler().current_slot(),
-                              obs::ProfileBucket::kOverlayMaint);
+  obs::Profiler::Scope upkeep(net_.profiler(), obs::ProfileBucket::kOverlayMaint);
   for (const auto& [host, node] : nodes_) {
     if (!net_.host_up(host)) continue;
     auto leaf = node->leaf_set();

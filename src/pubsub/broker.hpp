@@ -156,7 +156,6 @@ class Broker {
 
   /// Number of routing-table entries (for table-size scaling metrics).
   std::size_t table_size() const { return table_.size(); }
-  std::size_t advert_count() const { return adverts_.size(); }
   /// Entries learned from neighbour brokers — the interior routing
   /// state the aggregation tier keeps sub-linear in client count.
   std::size_t transit_entries() const;

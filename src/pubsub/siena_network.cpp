@@ -199,9 +199,8 @@ void SienaNetwork::attach_churn(sim::ChurnInjector& churn) {
 
 void SienaNetwork::on_transport_give_up(const sim::Packet& packet) {
   // Only park traffic for brokers that will recover on rejoin; anything
-  // else gave up for good (e.g. a permanently cut-off peer).  Parking
-  // slot is the *source* host — the one whose timer fired — so no two
-  // shards ever write the same slot.
+  // else gave up for good (e.g. a permanently cut-off peer).  Parked
+  // under the *source* host — the one whose timer fired.
   if (!brokers_.contains(packet.dst) || packet.src >= stalled_.size()) return;
   // Under link faults the give-up can trail the peer's rejoin (the
   // retries that would have discovered the new incarnation were

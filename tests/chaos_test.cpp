@@ -17,8 +17,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -34,7 +32,6 @@
 #include "storage/object_store.hpp"
 #include "wire/codec.hpp"
 
-#include <atomic>
 #include <span>
 
 namespace aa {
@@ -87,13 +84,6 @@ struct ScenarioResult {
   std::uint64_t messages_sent = 0;
   sim::NetworkStats net_stats;      // full counters (publish phase)
   pubsub::BrokerStats broker;       // summed over all brokers
-  // Structural span content (tracing on): every span rendered to a
-  // shard-count-independent key — trace id, host, component, action,
-  // virtual times, detail, and the *content* of its parent rather than
-  // the raw span id (ids encode the producing slot, which legitimately
-  // differs across shard counts).
-  std::multiset<std::string> span_multiset;
-  std::string chrome_export;  // Network::export_chrome_trace (tracing on)
 };
 
 // Field-wise comparable projections; keep in sync with the structs.
@@ -112,18 +102,16 @@ auto broker_stats_key(const pubsub::BrokerStats& s) {
 // One full pub/sub run.  `mutate` (optional) is invoked right after the
 // subscription tables quiesce, with the network and scheduler — chaos
 // scenarios install faults and schedule partition cuts/heals there.
-// `threads` > 1 runs the publish phase on the sharded scheduler.
 ScenarioResult run_scenario(bool reliable,
                             std::function<void(sim::Network&, sim::Scheduler&)> mutate,
-                            bool tracing = false, unsigned threads = 1,
-                            bool profiling = false, WireOptions wire = {}) {
+                            bool tracing = false, bool profiling = false,
+                            WireOptions wire = {}) {
   ScenarioResult result;
   sim::Scheduler sched;
   auto topo = std::make_shared<sim::UniformTopology>(kHosts, duration::millis(5));
   sim::Network net(sched, topo);
   if (tracing) net.enable_tracing();
   if (profiling) net.enable_profiling();
-  if (threads > 1) net.set_threads(threads);
   SienaNetwork ps(net, {0, 1, 2, 3, 4, 5, 6, 7});
   ps.connect_tree(2);  // edges: 0-1, 0-2, 1-3, 1-4, 2-5, 2-6, 3-7
   if (reliable) ps.enable_reliable_transport(chaos_reliable_params());
@@ -136,18 +124,16 @@ ScenarioResult run_scenario(bool reliable,
   }
   // Per-delivery transparency check (payload mode): every delivered
   // event must survive a binary encode->decode round trip with its
-  // canonical rendering intact.  Counted, not EXPECTed: the callback
-  // runs on shard threads.
-  auto roundtrip_failures = std::make_shared<std::atomic<std::uint64_t>>(0);
+  // canonical rendering intact.
+  std::uint64_t& roundtrip_failures = result.codec_roundtrip_failures;
 
   Digest& digest = result.digest;
   for (sim::HostId h = 0; h < kHosts; ++h) {
-    digest[h];  // create the node now: handlers on shard threads may only
-                // append to their own vector, never grow the shared tree
+    digest[h];  // every host appears in the digest, even with no deliveries
     ps.attach_client(h, h);  // co-located: client hops are loopback
     ps.subscribe(h, Filter().where("type", Op::kEq, "t" + std::to_string(h % 4)),
                  [&digest, h, payload = wire.payload_digest,
-                  roundtrip_failures](const Event& e) {
+                  &roundtrip_failures](const Event& e) {
                    if (!payload) {
                      digest[h].push_back(e.get_string("key").value_or("?"));
                      return;
@@ -159,7 +145,7 @@ ScenarioResult run_scenario(bool reliable,
                    auto back = pubsub::decode_deliver(r, wire::binary_codec());
                    if (!back.is_ok() ||
                        back.value().event.to_xml_string() != rendered) {
-                     ++*roundtrip_failures;
+                     ++roundtrip_failures;
                    }
                    digest[h].push_back(rendered);
                  });
@@ -186,7 +172,6 @@ ScenarioResult run_scenario(bool reliable,
 
   for (const auto& [h, keys] : digest) result.deliveries += keys.size();
   for (auto& [h, keys] : digest) std::sort(keys.begin(), keys.end());
-  result.codec_roundtrip_failures = roundtrip_failures->load();
   if (ps.reliable_transport() != nullptr) {
     result.give_ups = ps.reliable_transport()->stats().give_ups;
   }
@@ -197,23 +182,9 @@ ScenarioResult run_scenario(bool reliable,
   result.bytes_sent = result.net_stats.bytes_sent;
   result.messages_sent = result.net_stats.messages_sent;
   if (const obs::TraceCollector* tc = net.tracer()) {
-    std::map<std::uint64_t, const obs::Span*> by_id;
-    for (const obs::Span& s : tc->spans()) by_id[s.id] = &s;
-    const auto content = [](const obs::Span& s) {
-      return std::to_string(s.trace_id) + "|" + std::to_string(s.host) + "|" +
-             s.component + "|" + s.action + "|" + std::to_string(s.start) + "|" +
-             std::to_string(s.end) + "|" + s.detail;
-    };
     for (const obs::Span& s : tc->spans()) {
       if (s.action == "deliver") ++result.deliver_spans;
-      std::string key = content(s);
-      const auto pit = by_id.find(s.parent);
-      key += "|parent:" + (pit == by_id.end() ? std::string("-") : content(*pit->second));
-      result.span_multiset.insert(std::move(key));
     }
-    std::ostringstream out;
-    net.export_chrome_trace(out);
-    result.chrome_export = out.str();
   }
   return result;
 }
@@ -265,16 +236,14 @@ TEST(Chaos, SeedSweepDigestsMatchFaultFreeOracle) {
 // --- Codec / batching equivalence matrix --------------------------------
 //
 // The wire codec and per-link batching are transport details: for every
-// {codec} x {batching} x {shards} configuration, 21 chaos seeds must
-// deliver the byte-identical payload set the fault-free oracle does,
-// every delivered event must survive a binary encode->decode round
-// trip, and for a fixed seed the full traffic counters must not depend
-// on the shard count.
+// {codec} x {batching} configuration, 21 chaos seeds must deliver the
+// byte-identical payload set the fault-free oracle does, and every
+// delivered event must survive a binary encode->decode round trip.
 void sweep_codec_config(wire::WireCodec codec, bool batching) {
   WireOptions oracle_opts;
   oracle_opts.payload_digest = true;
   const ScenarioResult oracle =
-      run_scenario(/*reliable=*/false, nullptr, false, 1, false, oracle_opts);
+      run_scenario(/*reliable=*/false, nullptr, false, false, oracle_opts);
   ASSERT_EQ(oracle.deliveries, static_cast<std::uint64_t>(kRounds) * kHosts * 2);
   ASSERT_EQ(oracle.codec_roundtrip_failures, 0u);
 
@@ -283,31 +252,16 @@ void sweep_codec_config(wire::WireCodec codec, bool batching) {
   opts.batching = batching;
   opts.payload_digest = true;
   for (std::uint64_t seed = 1; seed <= 21; ++seed) {
-    ScenarioResult seq;  // threads == 1: the determinism baseline
-    for (unsigned threads : {1u, 2u, 4u}) {
-      ScenarioResult r = run_scenario(
-          /*reliable=*/true,
-          [seed](sim::Network& net, sim::Scheduler& sched) {
-            install_chaos(seed, net, sched);
-          },
-          false, threads, false, opts);
-      EXPECT_EQ(r.digest, oracle.digest)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(r.codec_roundtrip_failures, 0u)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(r.give_ups, 0u) << "seed " << seed;
-      if (threads == 1) {
-        seq = std::move(r);
-        EXPECT_GT(seq.dropped_by_fault, 0u) << "seed " << seed;
-        if (batching) EXPECT_GT(seq.net_stats.frames_sent, 0u) << "seed " << seed;
-      } else {
-        EXPECT_EQ(net_stats_key(r.net_stats), net_stats_key(seq.net_stats))
-            << "seed " << seed << " threads " << threads;
-        EXPECT_EQ(r.net_stats.frames_sent, seq.net_stats.frames_sent)
-            << "seed " << seed << " threads " << threads;
-        EXPECT_EQ(r.net_stats.batched_messages, seq.net_stats.batched_messages)
-            << "seed " << seed << " threads " << threads;
-      }
+    const ScenarioResult r = run_scenario(
+        /*reliable=*/true,
+        [seed](sim::Network& net, sim::Scheduler& sched) { install_chaos(seed, net, sched); },
+        false, false, opts);
+    EXPECT_EQ(r.digest, oracle.digest) << "seed " << seed;
+    EXPECT_EQ(r.codec_roundtrip_failures, 0u) << "seed " << seed;
+    EXPECT_EQ(r.give_ups, 0u) << "seed " << seed;
+    EXPECT_GT(r.dropped_by_fault, 0u) << "seed " << seed;
+    if (batching) {
+      EXPECT_GT(r.net_stats.frames_sent, 0u) << "seed " << seed;
     }
   }
 }
@@ -333,12 +287,12 @@ TEST(ChaosCodec, BinaryShrinksTrafficAndBatchingCutsPackets) {
   WireOptions xml_opts;
   xml_opts.payload_digest = true;
   const ScenarioResult xml =
-      run_scenario(/*reliable=*/false, nullptr, false, 1, false, xml_opts);
+      run_scenario(/*reliable=*/false, nullptr, false, false, xml_opts);
 
   WireOptions bin_opts = xml_opts;
   bin_opts.codec = wire::WireCodec::kBinary;
   const ScenarioResult bin =
-      run_scenario(/*reliable=*/false, nullptr, false, 1, false, bin_opts);
+      run_scenario(/*reliable=*/false, nullptr, false, false, bin_opts);
   EXPECT_EQ(bin.digest, xml.digest);
   EXPECT_EQ(bin.messages_sent, xml.messages_sent);
   EXPECT_LE(bin.bytes_sent * 2, xml.bytes_sent)
@@ -347,7 +301,7 @@ TEST(ChaosCodec, BinaryShrinksTrafficAndBatchingCutsPackets) {
   WireOptions batched = bin_opts;
   batched.batching = true;
   const ScenarioResult coalesced =
-      run_scenario(/*reliable=*/false, nullptr, false, 1, false, batched);
+      run_scenario(/*reliable=*/false, nullptr, false, false, batched);
   EXPECT_EQ(coalesced.digest, xml.digest);
   EXPECT_GT(coalesced.net_stats.frames_sent, 0u);
   EXPECT_LT(coalesced.net_stats.packets_sent(), coalesced.net_stats.messages_sent);
@@ -364,11 +318,11 @@ TEST(ChaosCodec, MixedOverlayDegradesPerLinkNotPerService) {
   WireOptions xml_opts;
   xml_opts.payload_digest = true;
   const ScenarioResult xml =
-      run_scenario(/*reliable=*/false, nullptr, false, 1, false, xml_opts);
+      run_scenario(/*reliable=*/false, nullptr, false, false, xml_opts);
   WireOptions bin_opts = xml_opts;
   bin_opts.codec = wire::WireCodec::kBinary;
   const ScenarioResult bin =
-      run_scenario(/*reliable=*/false, nullptr, false, 1, false, bin_opts);
+      run_scenario(/*reliable=*/false, nullptr, false, false, bin_opts);
 
   ScenarioResult mixed;
   {
@@ -699,13 +653,11 @@ struct BrokerCrashResult {
 // victim.  `crash_at` == 0 runs the fault-free oracle.
 BrokerCrashResult run_broker_crash_scenario(SimDuration crash_at, SimDuration revive_at,
                                             std::uint64_t seed,
-                                            bool checkpoints_before_transport = false,
-                                            unsigned threads = 1) {
+                                            bool checkpoints_before_transport = false) {
   BrokerCrashResult result;
   sim::Scheduler sched;
   auto topo = std::make_shared<sim::UniformTopology>(9, duration::millis(5));
   sim::Network net(sched, topo);
-  if (threads > 1) net.set_threads(threads);
   SienaNetwork ps(net, {0, 1, 2});
   (void)ps.connect(0, 1);
   (void)ps.connect(1, 2);
@@ -727,7 +679,7 @@ BrokerCrashResult run_broker_crash_scenario(SimDuration crash_at, SimDuration re
 
   Digest& digest = result.digest;
   for (sim::HostId h = 3; h <= 8; ++h) {
-    digest[h];  // pre-create: shard-thread handlers must not grow the tree
+    digest[h];  // every host appears in the digest, even with no deliveries
     ps.attach_client(h, h <= 5 ? 0 : 2);
     sched.after(duration::millis(3) * (h - 2), [&ps, &digest, h] {
       ps.subscribe(h, Filter().where("type", Op::kEq, "t" + std::to_string(h % 3)),
@@ -858,131 +810,19 @@ TEST(Chaos, BrokerCrashDuringSubscriptionPropagationConverges) {
   }
 }
 
-// --- Sharded parallel execution ---
-
-TEST(Chaos, ParallelModeIsDeterministic) {
-  // The tentpole determinism pin: the full 21-seed chaos sweep — link
-  // faults, duplication, reordering, two partition windows, the reliable
-  // transport papering over all of it — must produce bit-identical
-  // delivery digests and metrics counters whether the scheduler runs
-  // one shard or many.  Sequential results double as the oracle.
-  for (std::uint64_t seed = 1; seed <= 21; ++seed) {
-    const auto scenario = [seed](sim::Network& net, sim::Scheduler& sched) {
-      install_chaos(seed, net, sched);
-    };
-    const ScenarioResult seq = run_scenario(/*reliable=*/true, scenario);
-    ASSERT_GT(seq.dropped_by_fault, 0u) << "seed " << seed;
-    for (unsigned threads : {2u, 4u}) {
-      const ScenarioResult par =
-          run_scenario(/*reliable=*/true, scenario, /*tracing=*/false, threads);
-      EXPECT_EQ(par.digest, seq.digest) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(par.give_ups, seq.give_ups) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(net_stats_key(par.net_stats), net_stats_key(seq.net_stats))
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(broker_stats_key(par.broker), broker_stats_key(seq.broker))
-          << "seed " << seed << " threads " << threads;
-    }
-  }
-}
-
-TEST(Chaos, ParallelBrokerCrashRecoveryMatchesSequential) {
-  // The PR 6 crash→recover→converge path under sharded execution: a
-  // broker dies mid-publish with checkpoints mid-flush, recovers from
-  // disk + peer sync, and the run's digest and broker counters are
-  // bit-identical to the sequential execution of the same seed.
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const SimDuration crash_at = duration::millis(1002) + duration::micros(337);
-    const SimDuration revive_at = duration::millis(1352);
-    const BrokerCrashResult seq = run_broker_crash_scenario(crash_at, revive_at, seed);
-    ASSERT_GE(seq.broker.recoveries, 1u) << "seed " << seed;
-    for (unsigned threads : {2u, 4u}) {
-      const BrokerCrashResult par = run_broker_crash_scenario(
-          crash_at, revive_at, seed, /*checkpoints_before_transport=*/false, threads);
-      EXPECT_EQ(par.digest, seq.digest) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(par.deliveries, seq.deliveries) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(par.incarnation_give_ups, seq.incarnation_give_ups)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(par.stalled_left, seq.stalled_left)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(broker_stats_key(par.broker), broker_stats_key(seq.broker))
-          << "seed " << seed << " threads " << threads;
-    }
-  }
-}
-
-TEST(Chaos, TracedParallelSweepMatchesUntracedSequential) {
-  // The shard-safe-tracing pin: with slot-local ambient contexts and
-  // keyed sampling, enabling tracing no longer drops the scheduler to
-  // one shard — and must stay pure observation at every shard count.
-  // The full 21-seed chaos sweep runs traced at 1, 2 and 4 shards; each
-  // run's digest and counters must be bit-identical to the *untraced
-  // sequential* oracle, and the merged span set must be structurally
-  // identical to the 1-shard trace (same multiset of span contents and
-  // parent links; raw span ids encode the producing slot and may
-  // differ).
-  for (std::uint64_t seed = 1; seed <= 21; ++seed) {
-    const auto scenario = [seed](sim::Network& net, sim::Scheduler& sched) {
-      install_chaos(seed, net, sched);
-    };
-    const ScenarioResult oracle = run_scenario(/*reliable=*/true, scenario);
-    ASSERT_GT(oracle.dropped_by_fault, 0u) << "seed " << seed;
-    std::multiset<std::string> one_shard_spans;
-    for (unsigned threads : {1u, 2u, 4u}) {
-      const ScenarioResult traced =
-          run_scenario(/*reliable=*/true, scenario, /*tracing=*/true, threads);
-      EXPECT_EQ(traced.digest, oracle.digest) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(traced.give_ups, oracle.give_ups)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(net_stats_key(traced.net_stats), net_stats_key(oracle.net_stats))
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(broker_stats_key(traced.broker), broker_stats_key(oracle.broker))
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(traced.deliver_spans, traced.deliveries)
-          << "seed " << seed << " threads " << threads;
-      if (threads == 1) {
-        one_shard_spans = traced.span_multiset;
-        ASSERT_FALSE(one_shard_spans.empty()) << "seed " << seed;
-      } else {
-        EXPECT_EQ(traced.span_multiset, one_shard_spans)
-            << "seed " << seed << " threads " << threads;
-      }
-    }
-  }
-}
-
-TEST(Chaos, ParallelTraceExportValidates) {
-  // A traced + profiled 4-shard chaos run must export Chrome/Perfetto
-  // JSON that passes every validator check: span structure from the
-  // merged trace and counter tracks (numeric values, non-decreasing
-  // per-track timestamps, named threads) from the profiler.
-  const ScenarioResult traced = run_scenario(
-      /*reliable=*/true,
-      [](sim::Network& net, sim::Scheduler& sched) { install_chaos(5, net, sched); },
-      /*tracing=*/true, /*threads=*/4, /*profiling=*/true);
-  ASSERT_FALSE(traced.chrome_export.empty());
-  std::istringstream in(traced.chrome_export);
-  const auto problems = obs::validate_chrome_trace(in);
-  EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems.front());
-}
-
 TEST(Chaos, ProfilingIsPureObservation) {
-  // The profiler reads wall clocks and bumps slot-local counters but
-  // never touches scheduling decisions: digests and counters with
-  // profiling on are bit-identical to the plain run, sequential and
-  // sharded alike.
+  // The profiler reads wall clocks and bumps counters but never
+  // touches scheduling decisions: digests and counters with profiling
+  // on are bit-identical to the plain run.
   const auto scenario = [](sim::Network& net, sim::Scheduler& sched) {
     install_chaos(7, net, sched);
   };
   const ScenarioResult off = run_scenario(/*reliable=*/true, scenario);
-  for (unsigned threads : {1u, 4u}) {
-    const ScenarioResult on = run_scenario(/*reliable=*/true, scenario,
-                                           /*tracing=*/false, threads, /*profiling=*/true);
-    EXPECT_EQ(on.digest, off.digest) << "threads " << threads;
-    EXPECT_EQ(net_stats_key(on.net_stats), net_stats_key(off.net_stats))
-        << "threads " << threads;
-    EXPECT_EQ(broker_stats_key(on.broker), broker_stats_key(off.broker))
-        << "threads " << threads;
-  }
+  const ScenarioResult on =
+      run_scenario(/*reliable=*/true, scenario, /*tracing=*/false, /*profiling=*/true);
+  EXPECT_EQ(on.digest, off.digest);
+  EXPECT_EQ(net_stats_key(on.net_stats), net_stats_key(off.net_stats));
+  EXPECT_EQ(broker_stats_key(on.broker), broker_stats_key(off.broker));
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
+#include "common/ids.hpp"
 #include "common/log.hpp"
 #include "obs/profiler.hpp"
 #include "event/filter_parser.hpp"
@@ -424,27 +426,29 @@ TEST(Tracing, FacadeTraceThreadsBrokerPipelineAndDelivery) {
   EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems.front());
 }
 
-// --- Slot-aware tracing: keyed sampling + merged ids ---
+// --- Keyed sampling ---
 
 TEST(Trace, KeyedSamplingIsDeterministicAcrossSlots) {
-  // Two collectors fed the same task keys from *different* slots must
-  // make identical sampling decisions and mint identical trace ids: the
-  // decision mixes (key, per-task call index) only, never the slot.
+  // Two collectors fed the same task keys must make identical sampling
+  // decisions and mint identical trace ids, even when one of them has
+  // already admitted other traces: the decision mixes (key, per-task
+  // call index) only, never a running counter.
   obs::TraceCollector t1;
   obs::TraceCollector t2;
-  obs::TraceCollector::TaskRef r1{1, {100, 1, 7}};
-  obs::TraceCollector::TaskRef r2{2, {100, 1, 7}};
-  t1.bind_slots(3, [&r1] { return r1; });
-  t2.bind_slots(3, [&r2] { return r2; });
+  obs::TraceCollector::TaskKey k1{10, 4, 2};
+  obs::TraceCollector::TaskKey k2{10, 4, 2};
+  t1.set_task_key_provider([&k1] { return k1; });
+  t2.set_task_key_provider([&k2] { return k2; });
   t1.set_sample_every(3);
   t2.set_sample_every(3);
+  for (int call = 0; call < 5; ++call) (void)t2.start_trace();  // unrelated roots
 
   const obs::TraceCollector::TaskKey keys[] = {
       {100, 1, 7}, {100, 2, 1}, {250, 1, 8}, {250, 3, 1}, {900, 2, 4}};
   int admitted = 0;
   for (const auto& k : keys) {
-    r1.key = k;
-    r2.key = k;
+    k1 = k;
+    k2 = k;
     for (int call = 0; call < 4; ++call) {  // several candidates per task
       const obs::TraceContext a = t1.start_trace();
       const obs::TraceContext b = t2.start_trace();
@@ -461,11 +465,11 @@ TEST(Trace, TraceIdsEnumeratesRecordedTraces) {
   // Keyed trace ids are 48-bit hashes, not dense counters: consumers
   // enumerate via trace_ids(), which lists each recorded trace once.
   obs::TraceCollector tc;
-  obs::TraceCollector::TaskRef ref{1, {50, 2, 1}};
-  tc.bind_slots(2, [&ref] { return ref; });
+  obs::TraceCollector::TaskKey key{50, 2, 1};
+  tc.set_task_key_provider([&key] { return key; });
 
   const obs::TraceContext a = tc.start_trace();
-  ref.key = {60, 3, 1};
+  key = {60, 3, 1};
   const obs::TraceContext b = tc.start_trace();
   ASSERT_TRUE(a.active());
   ASSERT_TRUE(b.active());
@@ -507,43 +511,25 @@ TEST(Profiler, BucketMappingCoversSubsystems) {
 }
 
 TEST(Profiler, TaskAndEpochAttributionIsExact) {
-  // note_task / note_epoch / note_serialization / note_merge take
-  // explicit durations, so attribution is checkable exactly: an epoch
-  // of 150ns where slot 0 was busy 100ns parked it for 50ns.
+  // note_task takes explicit durations, so attribution is checkable
+  // exactly; samples snapshot the cumulative counters.
   obs::Profiler p;
-  p.bind_slots(3);  // shards 0,1 + global slot 2
-  p.note_task(0, 100);
-  p.note_task(0, 20);
-  p.note_task(1, 30);
-  p.note_epoch(150, 2);
-  p.note_serialization(2, 40);
-  p.note_merge(2, 5);
+  p.note_task(100);
+  p.note_task(20);
+  p.sample(5);
+  p.note_task(30);
 
-  EXPECT_EQ(p.counters(0).tasks, 2u);
-  EXPECT_EQ(p.counters(0).busy_ns, 120u);
-  EXPECT_EQ(p.counters(0).barrier_wait_ns, 30u);
-  EXPECT_EQ(p.counters(1).busy_ns, 30u);
-  EXPECT_EQ(p.counters(1).barrier_wait_ns, 120u);
-  EXPECT_EQ(p.counters(2).barrier_wait_ns, 0u);  // global slot: not a host shard
-  EXPECT_EQ(p.counters(2).serialization_ns, 40u);
-  EXPECT_EQ(p.counters(2).merge_ns, 5u);
-
-  const obs::Profiler::SlotCounters t = p.totals();
-  EXPECT_EQ(t.tasks, 3u);
-  EXPECT_EQ(t.busy_ns, 150u);
-  EXPECT_EQ(t.barrier_wait_ns, 150u);
-  EXPECT_EQ(t.serialization_ns, 40u);
-
-  // A second epoch starts from a clean per-epoch busy mark.
-  p.note_task(1, 10);
-  p.note_epoch(10, 2);
-  EXPECT_EQ(p.counters(1).barrier_wait_ns, 120u);
-  EXPECT_EQ(p.counters(0).barrier_wait_ns, 40u);
+  EXPECT_EQ(p.totals().tasks, 3u);
+  EXPECT_EQ(p.totals().busy_ns, 150u);
+  ASSERT_EQ(p.samples().size(), 1u);
+  EXPECT_EQ(p.samples().front().t, 5);
+  EXPECT_EQ(p.samples().front().counters.tasks, 2u);
+  EXPECT_EQ(p.samples().front().counters.busy_ns, 120u);
 
   p.reset();
   EXPECT_EQ(p.totals().tasks, 0u);
   EXPECT_EQ(p.totals().busy_ns, 0u);
-  EXPECT_EQ(p.slot_count(), 3u);  // layout survives reset
+  EXPECT_TRUE(p.samples().empty());
 }
 
 TEST(Profiler, ScopeNestingChargesSelfTime) {
@@ -552,7 +538,6 @@ TEST(Profiler, ScopeNestingChargesSelfTime) {
   // was double-charged (their sum can't exceed the total elapsed wall
   // time, which double-counting would make possible).
   obs::Profiler p;
-  p.bind_slots(1);
   const auto spin = [] {
     const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(200);
     while (std::chrono::steady_clock::now() < until) {
@@ -560,10 +545,10 @@ TEST(Profiler, ScopeNestingChargesSelfTime) {
   };
   const auto wall0 = std::chrono::steady_clock::now();
   {
-    obs::Profiler::Scope route(&p, 0, obs::ProfileBucket::kBrokerRoute);
+    obs::Profiler::Scope route(&p, obs::ProfileBucket::kBrokerRoute);
     spin();
     {
-      obs::Profiler::Scope wire(&p, 0, obs::ProfileBucket::kTransport);
+      obs::Profiler::Scope wire(&p, obs::ProfileBucket::kTransport);
       spin();
     }
     spin();
@@ -573,7 +558,7 @@ TEST(Profiler, ScopeNestingChargesSelfTime) {
           std::chrono::steady_clock::now() - wall0)
           .count());
 
-  const auto& c = p.counters(0);
+  const auto& c = p.totals();
   const std::uint64_t route_ns =
       c.bucket_ns[static_cast<std::size_t>(obs::ProfileBucket::kBrokerRoute)];
   const std::uint64_t wire_ns =
@@ -582,38 +567,35 @@ TEST(Profiler, ScopeNestingChargesSelfTime) {
   EXPECT_GT(wire_ns, 0u);
   EXPECT_LE(route_ns + wire_ns, elapsed_ns);
 
-  // Null-profiler and out-of-range slots are inert no-ops.
-  obs::Profiler::Scope null_scope(nullptr, 0, obs::ProfileBucket::kStore);
-  obs::Profiler::Scope oob_scope(&p, 99, obs::ProfileBucket::kStore);
+  // A null profiler makes the scope an inert no-op.
+  obs::Profiler::Scope null_scope(nullptr, obs::ProfileBucket::kStore);
 }
 
 TEST(Profiler, SampleRingHonorsRetention) {
   obs::Profiler p;
-  p.bind_slots(2);
   p.set_sample_retention(3);
   for (int i = 1; i <= 7; ++i) {
-    p.note_task(0, 10);
+    p.note_task(10);
     p.sample(i * 100);
   }
   ASSERT_EQ(p.samples().size(), 3u);
   EXPECT_EQ(p.samples().front().t, 500);
   EXPECT_EQ(p.samples().back().t, 700);
   // Samples are cumulative: the newest carries all 7 tasks.
-  EXPECT_EQ(p.samples().back().slots[0].tasks, 7u);
+  EXPECT_EQ(p.samples().back().counters.tasks, 7u);
 }
 
 TEST(Metrics, ExportProfilerEmitsTotalsAndPerSlotKeys) {
   obs::Profiler p;
-  p.bind_slots(2);
-  p.note_task(0, 5000);
-  p.note_serialization(1, 2000);
+  p.note_task(5000);
+  p.note_task(2000);
   sim::MetricsRegistry reg;
   obs::export_profiler(reg, "sched", p);
-  EXPECT_EQ(reg.counter("sched.total.tasks"), 1u);
-  EXPECT_EQ(reg.counter("sched.total.busy_us"), 5u);
-  EXPECT_EQ(reg.counter("sched.slot0.busy_us"), 5u);
-  EXPECT_EQ(reg.counter("sched.slot1.serialization_us"), 2u);
+  EXPECT_EQ(reg.counter("sched.total.tasks"), 2u);
+  EXPECT_EQ(reg.counter("sched.total.busy_us"), 7u);
   EXPECT_EQ(reg.counter("sched.total.broker_route_us"), 0u);
+  // One key per counter: tasks, busy time and every subsystem bucket.
+  EXPECT_EQ(reg.counters().size(), 2 + obs::kProfileBucketCount);
 }
 
 // --- MetricsHub timeline ---
@@ -711,6 +693,92 @@ TEST(TraceValidator, RejectsNonNumericCounterValues) {
     {"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"t"}},
     {"name":"sched","ph":"C","ts":0,"pid":1,"tid":0,"args":{"busy_us":"lots"}}]})");
   EXPECT_FALSE(obs::validate_chrome_trace(in).empty());
+}
+
+// --- Pinned traced + profiled chaos run ---
+//
+// One fixed, seeded chaos scenario (lossy, duplicating, reordering links,
+// a partition window, the reliable transport retrying through it) runs
+// traced with keyed sampling and profiled.  Its Chrome span export is
+// pinned by SHA-1 and its "sched.*" metric keys by name: the span set,
+// span ids, parent links, close times, annotations and export order must
+// not move when the collector's internals change.
+
+struct PinnedRun {
+  std::string span_export;          // TraceCollector::chrome_json()
+  std::string combined_export;      // spans + profiler counter tracks
+  std::set<std::string> sched_keys;  // export_profiler key names
+  std::size_t spans = 0;
+};
+
+PinnedRun pinned_chaos_run() {
+  sim::Scheduler sched;
+  auto topo = std::make_shared<sim::UniformTopology>(8, duration::millis(5));
+  sim::Network net(sched, topo);
+  net.enable_tracing(/*sample_every=*/2);
+  net.enable_profiling();
+  pubsub::SienaNetwork ps(net, {0, 1, 2, 3, 4, 5, 6, 7});
+  ps.connect_tree(2);
+  sim::ReliableParams rp;
+  rp.initial_rto = duration::millis(40);
+  rp.max_rto = duration::seconds(1);
+  rp.max_retries = 30;
+  ps.enable_reliable_transport(rp);
+  for (sim::HostId h = 0; h < 8; ++h) {
+    ps.attach_client(h, h);
+    ps.subscribe(h, Filter().where("type", Op::kEq, "t" + std::to_string(h % 4)),
+                 [](const Event&) {});
+  }
+  sched.run();
+
+  sim::LinkFaults faults;
+  faults.drop = 0.10;
+  faults.duplicate = 0.05;
+  faults.reorder = 0.10;
+  faults.jitter = duration::millis(2);
+  faults.seed = 11;
+  net.set_link_faults(faults);
+  sched.after(duration::millis(100),
+              [&net] { net.partition("cut", {0, 1, 3, 4, 7}, {2, 5, 6}); });
+  sched.after(duration::millis(250), [&net] { net.heal("cut"); });
+  for (int r = 0; r < 10; ++r) {
+    for (sim::HostId p = 0; p < 8; ++p) {
+      sched.after(duration::millis(5) * (r * 8 + static_cast<int>(p) + 1), [&ps, p, r] {
+        Event e("t" + std::to_string((static_cast<int>(p) + r) % 4));
+        e.set("key", "p" + std::to_string(p) + "r" + std::to_string(r));
+        ps.publish(p, e);
+      });
+    }
+  }
+  sched.run();
+
+  PinnedRun out;
+  out.span_export = net.tracer()->chrome_json();
+  out.spans = net.tracer()->spans().size();
+  std::ostringstream combined;
+  net.export_chrome_trace(combined);
+  out.combined_export = combined.str();
+  sim::MetricsRegistry reg;
+  obs::export_profiler(reg, "sched", *net.profiler());
+  for (const auto& [name, value] : reg.counters()) out.sched_keys.insert(name);
+  return out;
+}
+
+TEST(Trace, SeededChaosRunExportIsPinned) {
+  const PinnedRun run = pinned_chaos_run();
+  ASSERT_GT(run.spans, 0u);
+  EXPECT_EQ(Uid160(Sha1::hash(run.span_export)).to_hex(), "0580850dd284eba37e5ced73e093d1476655b07c");
+  std::set<std::string> expected;
+  for (const char* key : {"tasks", "busy_us", "broker_route_us", "broker_match_us", "store_us",
+                          "overlay_us", "overlay_maint_us", "transport_us", "pipeline_us",
+                          "deploy_us", "client_us", "other_us"}) {
+    expected.insert(std::string("sched.total.") + key);
+  }
+  EXPECT_EQ(run.sched_keys, expected);
+  // Spans plus profiler counter tracks form one valid Chrome document.
+  std::istringstream in(run.combined_export);
+  const auto problems = obs::validate_chrome_trace(in);
+  EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems.front());
 }
 
 }  // namespace
