@@ -21,6 +21,7 @@
 #include <string>
 
 #include "bundle/bundle.hpp"
+#include "common/stats.hpp"
 #include "sim/network.hpp"
 
 namespace aa::bundle {
@@ -56,6 +57,19 @@ struct ThinServerStats {
   std::uint64_t rejected_component = 0;
   std::uint64_t installer_failures = 0;
   std::uint64_t uninstalled = 0;
+
+  static constexpr auto fields() {
+    using S = ThinServerStats;
+    return std::to_array<StatField<S>>({
+        {"received", &S::received},
+        {"installed", &S::installed},
+        {"rejected_seal", &S::rejected_seal},
+        {"rejected_capability", &S::rejected_capability},
+        {"rejected_component", &S::rejected_component},
+        {"installer_failures", &S::installer_failures},
+        {"uninstalled", &S::uninstalled},
+    });
+  }
 };
 
 class ThinServerRuntime {

@@ -80,7 +80,6 @@ class SmallVector {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t capacity() const { return capacity_; }
-  bool inlined() const { return !on_heap(); }
 
   T* begin() { return data_; }
   T* end() { return data_ + size_; }

@@ -16,6 +16,7 @@
 #include <map>
 
 #include "bundle/deployer.hpp"
+#include "common/stats.hpp"
 #include "deploy/constraints.hpp"
 
 namespace aa::deploy {
@@ -27,6 +28,18 @@ struct EvolutionStats {
   std::uint64_t deployments_failed = 0;
   std::uint64_t retirements = 0;
   std::uint64_t violations_observed = 0;
+
+  static constexpr auto fields() {
+    using S = EvolutionStats;
+    return std::to_array<StatField<S>>({
+        {"evaluations", &S::evaluations},
+        {"deployments_started", &S::deployments_started},
+        {"deployments_succeeded", &S::deployments_succeeded},
+        {"deployments_failed", &S::deployments_failed},
+        {"retirements", &S::retirements},
+        {"violations_observed", &S::violations_observed},
+    });
+  }
 };
 
 class EvolutionEngine {
@@ -69,7 +82,6 @@ class EvolutionEngine {
   };
 
   void evaluate(const PlacementConstraint& constraint);
-  std::vector<sim::HostId> deployed_hosts(const std::string& constraint_id) const;
 
   sim::Network& net_;
   bundle::ThinServerRuntime& runtime_;

@@ -133,6 +133,9 @@ ActiveArchitecture::ActiveArchitecture(Config config) : config_(config) {
     obs::export_stats(reg, "store", store_->stats());
     obs::export_stats(reg, "deploy", runtime_->stats());
     obs::export_stats(reg, "evolution", evolution_->stats());
+    obs::export_stats(reg, "knowledge", knowledge_->knowledge_stats());
+    obs::export_stats(reg, "knowledge.replication", knowledge_->stats());
+    if (discovery_ != nullptr) obs::export_stats(reg, "discovery", discovery_->stats());
     reg.add("overlay.routed", overlay_->routed_messages());
     reg.add("overlay.undeliverable", overlay_->undeliverable());
     for (sim::HostId h = 0; h < config_.hosts; ++h) {

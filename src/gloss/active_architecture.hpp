@@ -182,7 +182,8 @@ class ActiveArchitecture {
   obs::MetricsHub& metrics_hub() { return hub_; }
   /// One namespaced point-in-time snapshot of the whole system
   /// ("net.*", "broker.*", "pipeline.*", "overlay.*", "store.*",
-  /// "deploy.*", "evolution.*", plus "trace.*" when tracing is on).
+  /// "deploy.*", "evolution.*", "knowledge.*", plus "discovery.*" once
+  /// start_discovery ran and "trace.*" when tracing is on).
   sim::MetricsRegistry metrics_snapshot() const { return hub_.snapshot(); }
 
   /// The authority secret used to seal bundles in this deployment.

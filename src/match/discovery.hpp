@@ -18,6 +18,7 @@
 #include <set>
 
 #include "bundle/deployer.hpp"
+#include "common/stats.hpp"
 #include "match/rule.hpp"
 #include "pipeline/pipeline_network.hpp"
 #include "storage/object_store.hpp"
@@ -30,6 +31,17 @@ struct DiscoveryStats {
   std::uint64_t handlers_deployed = 0;
   std::uint64_t lookup_failures = 0;
   std::uint64_t deploy_failures = 0;
+
+  static constexpr auto fields() {
+    using S = DiscoveryStats;
+    return std::to_array<StatField<S>>({
+        {"unknown_events", &S::unknown_events},
+        {"lookups", &S::lookups},
+        {"handlers_deployed", &S::handlers_deployed},
+        {"lookup_failures", &S::lookup_failures},
+        {"deploy_failures", &S::deploy_failures},
+    });
+  }
 };
 
 class DiscoveryService {

@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "event/event.hpp"
 #include "event/filter.hpp"
 
@@ -31,6 +32,15 @@ struct KnowledgeStats {
   std::uint64_t indexed_queries = 0;
   std::uint64_t scan_queries = 0;
   std::uint64_t facts_examined = 0;
+
+  static constexpr auto fields() {
+    using S = KnowledgeStats;
+    return std::to_array<StatField<S>>({
+        {"indexed_queries", &S::indexed_queries},
+        {"scan_queries", &S::scan_queries},
+        {"facts_examined", &S::facts_examined},
+    });
+  }
 };
 
 class KnowledgeBase {

@@ -68,4 +68,10 @@ KnowledgeBase& ReplicatedKnowledge::replica(sim::HostId host) {
   return *it->second;
 }
 
+KnowledgeStats ReplicatedKnowledge::knowledge_stats() const {
+  KnowledgeStats total = master_.stats();
+  for (const auto& [host, kb] : replicas_) accumulate(total, kb->stats());
+  return total;
+}
+
 }  // namespace aa::match

@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 
+#include "common/stats.hpp"
 #include "match/knowledge.hpp"
 #include "pubsub/event_service.hpp"
 
@@ -30,6 +31,15 @@ struct ReplicationStats {
   std::uint64_t updates_published = 0;
   std::uint64_t updates_applied = 0;
   std::uint64_t state_transfers = 0;
+
+  static constexpr auto fields() {
+    using S = ReplicationStats;
+    return std::to_array<StatField<S>>({
+        {"updates_published", &S::updates_published},
+        {"updates_applied", &S::updates_applied},
+        {"state_transfers", &S::state_transfers},
+    });
+  }
 };
 
 class ReplicatedKnowledge {
@@ -49,10 +59,10 @@ class ReplicatedKnowledge {
   /// The replica matchlets on `host` bind to; created (with state
   /// transfer) on first use.
   KnowledgeBase& replica(sim::HostId host);
-  bool has_replica(sim::HostId host) const { return replicas_.contains(host); }
-  std::size_t replica_count() const { return replicas_.size(); }
 
   const ReplicationStats& stats() const { return stats_; }
+  /// Query counters summed over the master and every replica.
+  KnowledgeStats knowledge_stats() const;
 
   static constexpr const char* kUpdateEventType = "fact-update";
 

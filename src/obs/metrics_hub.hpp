@@ -1,18 +1,18 @@
-// Unified metrics hub: snapshots every component's existing *Stats
-// struct into one namespaced sim::MetricsRegistry.
+// Unified metrics hub: snapshots every component's *Stats struct into
+// one namespaced sim::MetricsRegistry.
 //
-// Each layer already keeps counters (BrokerStats, NetworkStats, ...)
-// but there was no way to read the whole system at once — the paper's
-// evolution engine "monitors the running system" (§4.4/§4.6), and
-// benches want one machine-readable line.  The hub copies each struct's
-// fields into the registry under a dotted namespace ("net.messages_sent",
-// "broker.deliveries", ...), so MetricsRegistry::to_json() exports the
-// full picture.
+// Each layer keeps counters (BrokerStats, NetworkStats, ...), and the
+// paper's evolution engine "monitors the running system" (§4.4/§4.6),
+// so the hub reads the whole system at once: it copies each struct's
+// counters into the registry under a dotted namespace
+// ("net.messages_sent", "broker.deliveries", ...), and
+// MetricsRegistry::to_json() exports the full picture.
 //
-// Header-only by design: the overloads below include stats headers from
-// every layer, which the low-level aa_obs library must not link
-// against.  Including this header from the facade (gloss) or a bench
-// costs nothing at runtime until snapshot() is called.
+// A counter is declared once, in its struct's fields() (common/
+// stats.hpp); export_stats iterates that list, so a new field is
+// exported as soon as it is listed, and the build fails if it is not.
+// Header-only: the hub uses the simulator's registry and scheduler,
+// which the low-level aa_obs library must not link against.
 #pragma once
 
 #include <cstdint>
@@ -20,178 +20,30 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "bundle/thin_server.hpp"
-#include "deploy/evolution.hpp"
+#include "common/stats.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
-#include "overlay/node.hpp"
-#include "pipeline/component.hpp"
-#include "pipeline/pipeline_network.hpp"
-#include "pubsub/broker.hpp"
-#include "pubsub/scribe.hpp"
 #include "sim/metrics.hpp"
-#include "sim/network.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/reliable.hpp"
-#include "storage/object_store.hpp"
-#include "storage/store_node.hpp"
 
 namespace aa::obs {
 
-/// Copies a stats struct's counters into `reg` under `ns` ("ns.field").
-/// One overload per struct keeps additions explicit — a new field that
-/// should be exported must be added here, which the round-trip unit
-/// test cross-checks for the structs it covers.
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const sim::NetworkStats& s) {
-  reg.add(ns + ".messages_sent", s.messages_sent);
-  reg.add(ns + ".messages_delivered", s.messages_delivered);
-  reg.add(ns + ".messages_dropped", s.messages_dropped);
-  reg.add(ns + ".bytes_sent", s.bytes_sent);
-  reg.add(ns + ".duplicated", s.duplicated);
-  reg.add(ns + ".retransmits", s.retransmits);
-  reg.add(ns + ".dropped_by_fault", s.dropped_by_fault);
-  reg.add(ns + ".packets_sent", s.packets_sent());
-  reg.add(ns + ".batch.frames", s.frames_sent);
-  reg.add(ns + ".batch.members", s.batched_messages);
-  reg.add(ns + ".batch.flushes", s.batch_flushes);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const sim::ReliableStats& s) {
-  reg.add(ns + ".data_sent", s.data_sent);
-  reg.add(ns + ".acked", s.acked);
-  reg.add(ns + ".retransmits", s.retransmits);
-  reg.add(ns + ".duplicates_suppressed", s.duplicates_suppressed);
-  reg.add(ns + ".give_ups", s.give_ups);
-  reg.add(ns + ".incarnation_give_ups", s.incarnation_give_ups);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const sim::DiskStats& s) {
-  reg.add(ns + ".writes", s.writes);
-  reg.add(ns + ".appends", s.appends);
-  reg.add(ns + ".bytes_written", s.bytes_written);
-  reg.add(ns + ".removes", s.removes);
-  reg.add(ns + ".crashed_ops", s.crashed_ops);
-  reg.add(ns + ".torn_ops", s.torn_ops);
-  reg.add(ns + ".ghost_ops", s.ghost_ops);
-  reg.add(ns + ".lost_ops", s.lost_ops);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const storage::DurabilityStats& s) {
-  reg.add(ns + ".wal_appends", s.wal_appends);
-  reg.add(ns + ".wal_bytes", s.wal_bytes);
-  reg.add(ns + ".checkpoints", s.checkpoints);
-  reg.add(ns + ".checkpoint_bytes", s.checkpoint_bytes);
-  reg.add(ns + ".logical_bytes", s.logical_bytes);
-  reg.add(ns + ".recoveries", s.recoveries);
-  reg.add(ns + ".records_replayed", s.records_replayed);
-  reg.add(ns + ".torn_records_discarded", s.torn_records_discarded);
-  reg.add(ns + ".corrupt_checkpoints", s.corrupt_checkpoints);
-  reg.add(ns + ".recovery_bytes_read", s.recovery_bytes_read);
-  reg.add(ns + ".recovery_us_total", s.recovery_us_total);
-  // Write amplification as parts-per-thousand: the registry holds
-  // integer counters, and 1000 * (physical / logical) keeps three
-  // significant digits for the C4 tier curves.
-  reg.add(ns + ".write_amplification_x1000",
-          static_cast<std::uint64_t>(s.write_amplification() * 1000.0));
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const pubsub::BrokerStats& s) {
-  reg.add(ns + ".publications_routed", s.publications_routed);
-  reg.add(ns + ".deliveries", s.deliveries);
-  reg.add(ns + ".subscriptions_forwarded", s.subscriptions_forwarded);
-  reg.add(ns + ".subscriptions_suppressed", s.subscriptions_suppressed);
-  reg.add(ns + ".match_tests", s.match_tests);
-  reg.add(ns + ".index_probes", s.index_probes);
-  reg.add(ns + ".checkpoints", s.checkpoints);
-  reg.add(ns + ".checkpoint_bytes", s.checkpoint_bytes);
-  reg.add(ns + ".recoveries", s.recoveries);
-  reg.add(ns + ".recovered_entries", s.recovered_entries);
-  reg.add(ns + ".sync_requests", s.sync_requests);
-  reg.add(ns + ".sync_replies", s.sync_replies);
-  reg.add(ns + ".sync_retries", s.sync_retries);
-  reg.add(ns + ".sync_give_ups", s.sync_give_ups);
-  reg.add(ns + ".aggregate_updates", s.aggregate_updates);
-  reg.add(ns + ".aggregate_retractions", s.aggregate_retractions);
-  reg.add(ns + ".aggregate_absorbed", s.aggregate_absorbed);
-  reg.add(ns + ".duplicate_publishes_discarded", s.duplicate_publishes_discarded);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const pubsub::ScribeStats& s) {
-  reg.add(ns + ".joins_routed", s.joins_routed);
-  reg.add(ns + ".publishes_routed", s.publishes_routed);
-  reg.add(ns + ".multicast_messages", s.multicast_messages);
-  reg.add(ns + ".pruned_children", s.pruned_children);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const overlay::NodeStats& s) {
-  reg.add(ns + ".forwarded", s.forwarded);
-  reg.add(ns + ".delivered", s.delivered);
-  reg.add(ns + ".repairs", s.repairs);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const pipeline::PipelineStats& s) {
-  reg.add(ns + ".intra_node_hops", s.intra_node_hops);
-  reg.add(ns + ".inter_node_hops", s.inter_node_hops);
-  reg.add(ns + ".undeliverable", s.undeliverable);
-  reg.add(ns + ".parse_failures", s.parse_failures);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const pipeline::ComponentStats& s) {
-  reg.add(ns + ".received", s.received);
-  reg.add(ns + ".emitted", s.emitted);
-  reg.add(ns + ".dropped", s.dropped);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const storage::ObjectStoreStats& s) {
-  reg.add(ns + ".puts", s.puts);
-  reg.add(ns + ".gets", s.gets);
-  reg.add(ns + ".local_hits", s.local_hits);
-  reg.add(ns + ".intercept_hits", s.intercept_hits);
-  reg.add(ns + ".root_hits", s.root_hits);
-  reg.add(ns + ".misses", s.misses);
-  reg.add(ns + ".timeouts", s.timeouts);
-  reg.add(ns + ".heal_pushes", s.heal_pushes);
-  reg.add(ns + ".reconstructions", s.reconstructions);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const storage::StoreNodeStats& s) {
-  reg.add(ns + ".cache_hits", s.cache_hits);
-  reg.add(ns + ".cache_misses", s.cache_misses);
-  reg.add(ns + ".cache_evictions", s.cache_evictions);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const deploy::EvolutionStats& s) {
-  reg.add(ns + ".evaluations", s.evaluations);
-  reg.add(ns + ".deployments_started", s.deployments_started);
-  reg.add(ns + ".deployments_succeeded", s.deployments_succeeded);
-  reg.add(ns + ".deployments_failed", s.deployments_failed);
-  reg.add(ns + ".retirements", s.retirements);
-  reg.add(ns + ".violations_observed", s.violations_observed);
-}
-
-inline void export_stats(sim::MetricsRegistry& reg, const std::string& ns,
-                         const bundle::ThinServerStats& s) {
-  reg.add(ns + ".received", s.received);
-  reg.add(ns + ".installed", s.installed);
-  reg.add(ns + ".rejected_seal", s.rejected_seal);
-  reg.add(ns + ".rejected_capability", s.rejected_capability);
-  reg.add(ns + ".rejected_component", s.rejected_component);
-  reg.add(ns + ".installer_failures", s.installer_failures);
-  reg.add(ns + ".uninstalled", s.uninstalled);
+/// Adds each counter (and derived value) of `s` to `reg` as "ns.key".
+template <typename S>
+void export_stats(sim::MetricsRegistry& reg, const std::string& ns, const S& s) {
+  const auto add = [&](std::string_view key, std::uint64_t value) {
+    std::string name = ns;
+    name += '.';
+    name += key;
+    reg.add(name, value);
+  };
+  for (const StatField<S>& f : stat_fields<S>()) add(f.key, s.*f.member);
+  if constexpr (requires { S::derived(); }) {
+    for (const DerivedStat<S>& d : S::derived()) add(d.key, d.value(s));
+  }
 }
 
 /// Per-delivery trace metrics → "ns.deliveries" counter plus

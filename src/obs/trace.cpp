@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -179,28 +178,6 @@ std::string TraceCollector::chrome_json() const {
   std::ostringstream out;
   write_chrome_json(out);
   return out.str();
-}
-
-void TraceCollector::dump_text(std::ostream& out) const {
-  // Group by trace; indent by parent depth.
-  std::map<std::uint64_t, std::vector<const Span*>> by_trace;
-  for (const Span& s : spans_) by_trace[s.trace_id].push_back(&s);
-  for (const auto& [tid, spans] : by_trace) {
-    out << "trace " << tid << " (" << spans.size() << " spans)\n";
-    for (const Span* s : spans) {
-      int depth = 0;
-      for (const Span* p = find_span(s->parent); p != nullptr && depth < 64;
-           p = find_span(p->parent)) {
-        ++depth;
-      }
-      for (int i = 0; i < depth; ++i) out << "  ";
-      out << "  [" << s->start << ".." << (s->closed() ? s->end : s->start)
-          << (s->closed() ? "" : "+") << "us] host=" << s->host << " " << s->component
-          << "/" << s->action;
-      if (!s->detail.empty()) out << " (" << s->detail << ")";
-      out << "\n";
-    }
-  }
 }
 
 std::vector<TraceCollector::DeliveryMetrics> TraceCollector::delivery_metrics() const {

@@ -135,9 +135,6 @@ class TraceCollector {
   /// profiler's counter tracks).  `first` tracks comma placement.
   void write_chrome_events(std::ostream& out, bool& first) const;
 
-  /// Compact indented text dump, one trace per block.
-  void dump_text(std::ostream& out) const;
-
   // --- Derived per-delivery metrics ---
 
   /// One terminal delivery (a span with action "deliver") and the

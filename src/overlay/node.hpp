@@ -32,6 +32,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "overlay/messages.hpp"
 #include "sim/network.hpp"
 
@@ -41,6 +42,14 @@ struct NodeStats {
   std::uint64_t forwarded = 0;
   std::uint64_t delivered = 0;
   std::uint64_t repairs = 0;  // dead entries purged
+  static constexpr auto fields() {
+    using S = NodeStats;
+    return std::to_array<StatField<S>>({
+        {"forwarded", &S::forwarded},
+        {"delivered", &S::delivered},
+        {"repairs", &S::repairs},
+    });
+  }
 };
 
 class OverlayNode {

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 
+#include "common/stats.hpp"
 #include "pipeline/component.hpp"
 #include "sim/network.hpp"
 
@@ -21,6 +22,16 @@ struct PipelineStats {
   std::uint64_t inter_node_hops = 0;
   std::uint64_t undeliverable = 0;  // link to missing/removed component
   std::uint64_t parse_failures = 0;
+
+  static constexpr auto fields() {
+    using S = PipelineStats;
+    return std::to_array<StatField<S>>({
+        {"intra_node_hops", &S::intra_node_hops},
+        {"inter_node_hops", &S::inter_node_hops},
+        {"undeliverable", &S::undeliverable},
+        {"parse_failures", &S::parse_failures},
+    });
+  }
 };
 
 class PipelineNetwork {
@@ -55,7 +66,6 @@ class PipelineNetwork {
   /// Connects upstream -> downstream.  Duplicate links are ignored.
   Status connect(const ComponentRef& upstream, const ComponentRef& downstream);
   Status disconnect(const ComponentRef& upstream, const ComponentRef& downstream);
-  std::vector<ComponentRef> downstream_of(const ComponentRef& ref) const;
 
   /// External event injection (a device pushing into the pipeline).
   void inject(const ComponentRef& ref, const event::Event& e);

@@ -20,6 +20,7 @@
 #include <set>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "event/event.hpp"
 #include "event/filter.hpp"
 #include "event/filter_index.hpp"
@@ -59,6 +60,30 @@ struct BrokerStats {
   /// only when a crash/fault overlap re-injected a processed packet
   /// (messages.hpp: PublishMsg::pub_id).
   std::uint64_t duplicate_publishes_discarded = 0;
+
+  static constexpr auto fields() {
+    using S = BrokerStats;
+    return std::to_array<StatField<S>>({
+        {"publications_routed", &S::publications_routed},
+        {"deliveries", &S::deliveries},
+        {"subscriptions_forwarded", &S::subscriptions_forwarded},
+        {"subscriptions_suppressed", &S::subscriptions_suppressed},
+        {"match_tests", &S::match_tests},
+        {"index_probes", &S::index_probes},
+        {"checkpoints", &S::checkpoints},
+        {"checkpoint_bytes", &S::checkpoint_bytes},
+        {"recoveries", &S::recoveries},
+        {"recovered_entries", &S::recovered_entries},
+        {"sync_requests", &S::sync_requests},
+        {"sync_replies", &S::sync_replies},
+        {"sync_retries", &S::sync_retries},
+        {"sync_give_ups", &S::sync_give_ups},
+        {"aggregate_updates", &S::aggregate_updates},
+        {"aggregate_retractions", &S::aggregate_retractions},
+        {"aggregate_absorbed", &S::aggregate_absorbed},
+        {"duplicate_publishes_discarded", &S::duplicate_publishes_discarded},
+    });
+  }
 };
 
 /// Knobs for covering-based subscription merging (DESIGN.md §11).
@@ -98,7 +123,6 @@ class Broker {
   /// semantics).  Advertisements themselves are flooded.  All brokers
   /// of an overlay must agree on the mode.
   void set_advertisement_forwarding(bool on) { advertisement_forwarding_ = on; }
-  bool advertisement_forwarding() const { return advertisement_forwarding_; }
 
   /// Covering-based subscription merging (DESIGN.md §11): instead of
   /// forwarding per-subscription entries pruned by covering, the broker
@@ -112,7 +136,6 @@ class Broker {
   /// enabled before subscriptions exist (SienaNetwork::enable_aggregation
   /// does both).
   void enable_aggregation(const BrokerAggregationParams& params);
-  bool aggregation_enabled() const { return aggregation_; }
 
   /// Selects the publication-matching path: the counting FilterIndex
   /// (default) or the linear scan over the routing table, kept as the
@@ -120,7 +143,6 @@ class Broker {
   /// forwarding sets; they differ only in cost (stats().index_probes vs
   /// stats().match_tests).
   void set_indexed_matching(bool on) { indexed_matching_ = on; }
-  bool indexed_matching() const { return indexed_matching_; }
 
   /// Routes all broker-to-broker traffic through `transport` (ack +
   /// retry, sim/reliable.hpp) instead of raw datagrams, so forwarding
@@ -147,11 +169,6 @@ class Broker {
   /// Handles an incoming protocol message (wired up by SienaNetwork).
   void on_message(const sim::Packet& packet);
 
-  /// Entry points used for locally attached clients.
-  void local_subscribe(std::uint64_t id, const event::Filter& filter, sim::HostId client_host);
-  void local_unsubscribe(std::uint64_t id);
-  void local_publish(const event::Event& e);
-
   const BrokerStats& stats() const { return stats_; }
 
   /// Number of routing-table entries (for table-size scaling metrics).
@@ -166,7 +183,6 @@ class Broker {
   /// every routing-state mutation (ping-pong format, sim/durable_disk).
   /// Wired up by SienaNetwork::enable_broker_checkpoints().
   void enable_checkpoints(sim::DurableDisk& disk, BrokerDurabilityParams params = {});
-  bool checkpoints_enabled() const { return disk_ != nullptr; }
 
   /// Crash recovery: wipes routing state (the crash lost it), restores
   /// the last durable checkpoint, then reconciles with each neighbour

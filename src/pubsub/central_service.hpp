@@ -35,7 +35,6 @@ class CentralService final : public EventService {
   /// (default) or the naive scan over all subscriptions (the oracle;
   /// its cost is the paper's scalability complaint about Elvin).
   void set_indexed_matching(bool on) { indexed_matching_ = on; }
-  bool indexed_matching() const { return indexed_matching_; }
 
  private:
   struct ServerSub {

@@ -313,27 +313,7 @@ Broker* SienaNetwork::broker(sim::HostId host) {
 
 BrokerStats SienaNetwork::total_broker_stats() const {
   BrokerStats total;
-  for (const auto& [h, b] : brokers_) {
-    const BrokerStats& s = b->stats();
-    total.publications_routed += s.publications_routed;
-    total.deliveries += s.deliveries;
-    total.subscriptions_forwarded += s.subscriptions_forwarded;
-    total.subscriptions_suppressed += s.subscriptions_suppressed;
-    total.match_tests += s.match_tests;
-    total.index_probes += s.index_probes;
-    total.checkpoints += s.checkpoints;
-    total.checkpoint_bytes += s.checkpoint_bytes;
-    total.recoveries += s.recoveries;
-    total.recovered_entries += s.recovered_entries;
-    total.sync_requests += s.sync_requests;
-    total.sync_replies += s.sync_replies;
-    total.sync_retries += s.sync_retries;
-    total.sync_give_ups += s.sync_give_ups;
-    total.aggregate_updates += s.aggregate_updates;
-    total.aggregate_retractions += s.aggregate_retractions;
-    total.aggregate_absorbed += s.aggregate_absorbed;
-    total.duplicate_publishes_discarded += s.duplicate_publishes_discarded;
-  }
+  for (const auto& [h, b] : brokers_) accumulate(total, b->stats());
   return total;
 }
 
@@ -353,14 +333,6 @@ std::size_t SienaNetwork::max_table_entries() const {
   std::size_t max_entries = 0;
   for (const auto& [h, b] : brokers_) max_entries = std::max(max_entries, b->table_size());
   return max_entries;
-}
-
-std::uint64_t SienaNetwork::max_broker_load() const {
-  std::uint64_t max_load = 0;
-  for (const auto& [h, b] : brokers_) {
-    max_load = std::max(max_load, b->stats().publications_routed);
-  }
-  return max_load;
 }
 
 }  // namespace aa::pubsub

@@ -77,7 +77,6 @@ class SienaNetwork final : public EventService {
   /// only — message bodies stay in-memory structs in the simulator.
   void set_codec(wire::WireCodec c) { codecs_.set_default(c); }
   void set_host_codec(sim::HostId host, wire::WireCodec c) { codecs_.set_host(host, c); }
-  const wire::CodecMap& codec_map() const { return codecs_; }
 
   /// Checkpoints every broker's routing tables to `disk` and, with the
   /// reliable transport enabled, parks broker traffic the transport
@@ -122,8 +121,6 @@ class SienaNetwork final : public EventService {
 
   /// Sum of broker stats across the overlay.
   BrokerStats total_broker_stats() const;
-  /// Largest per-broker routed-publication count (hotspot measure).
-  std::uint64_t max_broker_load() const;
   /// Total routing-table entries across brokers, and the subset learned
   /// from neighbour brokers (the interior state aggregation compresses).
   std::size_t total_table_entries() const;

@@ -109,20 +109,10 @@ void Network::enable_tracing(std::uint64_t sample_every) {
   tracer_->set_sample_every(sample_every);
 }
 
-void Network::disable_tracing() {
-  tracer_.reset();
-  ambient_ = {};
-}
-
 void Network::enable_profiling(std::size_t sample_retention) {
   if (profiler_ == nullptr) profiler_ = std::make_unique<obs::Profiler>();
   profiler_->set_sample_retention(sample_retention);
   sched_.set_profiler(profiler_.get());
-}
-
-void Network::disable_profiling() {
-  sched_.set_profiler(nullptr);
-  profiler_.reset();
 }
 
 void Network::export_chrome_trace(std::ostream& out) const {

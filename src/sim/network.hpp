@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
@@ -86,6 +87,26 @@ struct NetworkStats {
   /// that rode inside a frame, plus the frames themselves.
   std::uint64_t packets_sent() const {
     return messages_sent - batched_messages + frames_sent;
+  }
+
+  static constexpr auto fields() {
+    using S = NetworkStats;
+    return std::to_array<StatField<S>>({
+        {"messages_sent", &S::messages_sent},
+        {"messages_delivered", &S::messages_delivered},
+        {"messages_dropped", &S::messages_dropped},
+        {"bytes_sent", &S::bytes_sent},
+        {"duplicated", &S::duplicated},
+        {"retransmits", &S::retransmits},
+        {"dropped_by_fault", &S::dropped_by_fault},
+        {"batch.frames", &S::frames_sent},
+        {"batch.members", &S::batched_messages},
+        {"batch.flushes", &S::batch_flushes},
+    });
+  }
+  static constexpr auto derived() {
+    return std::array{DerivedStat<NetworkStats>{
+        "packets_sent", [](const NetworkStats& s) { return s.packets_sent(); }}};
   }
 };
 
@@ -241,8 +262,6 @@ class Network {
   /// Enables tracing, creating the collector on first use.  `sample_every`
   /// starts every n-th root trace (1 = all; see TraceCollector).
   void enable_tracing(std::uint64_t sample_every = 1);
-  /// Drops the collector and all recorded spans.
-  void disable_tracing();
   bool tracing_enabled() const { return tracer_ != nullptr; }
   obs::TraceCollector* tracer() { return tracer_.get(); }
   const obs::TraceCollector* tracer() const { return tracer_.get(); }
@@ -265,9 +284,6 @@ class Network {
   /// Enables profiling, creating the profiler on first use.
   /// `sample_retention` caps the snapshot ring buffer.
   void enable_profiling(std::size_t sample_retention = 4096);
-  /// Detaches and drops the profiler and all counters.
-  void disable_profiling();
-  bool profiling_enabled() const { return profiler_ != nullptr; }
   obs::Profiler* profiler() { return profiler_.get(); }
   const obs::Profiler* profiler() const { return profiler_.get(); }
 

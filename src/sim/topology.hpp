@@ -44,9 +44,6 @@ class Topology {
     (void)h;
     return 0;
   }
-
-  /// Number of distinct regions (>= 1).
-  virtual int region_count() const { return 1; }
 };
 
 /// All pairs at `rtt/2`; self-latency ~0 (local loopback cost).
@@ -103,7 +100,6 @@ class TransitStubTopology final : public Topology {
   SimDuration latency(HostId a, HostId b) const override;
   std::size_t size() const override { return hosts_; }
   int region_of(HostId h) const override { return static_cast<int>(h % regions_); }
-  int region_count() const override { return regions_; }
 
  private:
   std::size_t hosts_;

@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/stats.hpp"
 #include "sim/durable_disk.hpp"
 #include "storage/store_node.hpp"
 
@@ -75,6 +76,32 @@ struct DurabilityStats {
                ? 0.0
                : static_cast<double>(wal_bytes + checkpoint_bytes) /
                      static_cast<double>(logical_bytes);
+  }
+
+  static constexpr auto fields() {
+    using S = DurabilityStats;
+    return std::to_array<StatField<S>>({
+        {"wal_appends", &S::wal_appends},
+        {"wal_bytes", &S::wal_bytes},
+        {"checkpoints", &S::checkpoints},
+        {"checkpoint_bytes", &S::checkpoint_bytes},
+        {"logical_bytes", &S::logical_bytes},
+        {"recoveries", &S::recoveries},
+        {"records_replayed", &S::records_replayed},
+        {"torn_records_discarded", &S::torn_records_discarded},
+        {"corrupt_checkpoints", &S::corrupt_checkpoints},
+        {"recovery_bytes_read", &S::recovery_bytes_read},
+        {"recovery_us_total", &S::recovery_us_total},
+    });
+  }
+  /// Write amplification as parts-per-thousand: the registry holds
+  /// integer counters, and 1000 * (physical / logical) keeps three
+  /// significant digits for the C4 tier curves.
+  static constexpr auto derived() {
+    return std::array{DerivedStat<DurabilityStats>{
+        "write_amplification_x1000", [](const DurabilityStats& s) {
+          return static_cast<std::uint64_t>(s.write_amplification() * 1000.0);
+        }}};
   }
 };
 

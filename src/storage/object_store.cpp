@@ -477,20 +477,7 @@ void ObjectStore::recover_host(sim::HostId host) {
 
 DurabilityStats ObjectStore::durability_stats() const {
   DurabilityStats total;
-  for (const auto& [host, journal] : journals_) {
-    const DurabilityStats& s = journal->stats();
-    total.wal_appends += s.wal_appends;
-    total.wal_bytes += s.wal_bytes;
-    total.checkpoints += s.checkpoints;
-    total.checkpoint_bytes += s.checkpoint_bytes;
-    total.logical_bytes += s.logical_bytes;
-    total.recoveries += s.recoveries;
-    total.records_replayed += s.records_replayed;
-    total.torn_records_discarded += s.torn_records_discarded;
-    total.corrupt_checkpoints += s.corrupt_checkpoints;
-    total.recovery_bytes_read += s.recovery_bytes_read;
-    total.recovery_us_total += s.recovery_us_total;
-  }
+  for (const auto& [host, journal] : journals_) accumulate(total, journal->stats());
   return total;
 }
 

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 
+#include "common/stats.hpp"
 #include "overlay/overlay_network.hpp"
 #include "sim/churn.hpp"
 #include "sim/durable_disk.hpp"
@@ -43,6 +44,20 @@ struct ObjectStoreStats {
   std::uint64_t timeouts = 0;
   std::uint64_t heal_pushes = 0;      // replicas re-sent by healing
   std::uint64_t reconstructions = 0;  // erasure decodes at the root
+  static constexpr auto fields() {
+    using S = ObjectStoreStats;
+    return std::to_array<StatField<S>>({
+        {"puts", &S::puts},
+        {"gets", &S::gets},
+        {"local_hits", &S::local_hits},
+        {"intercept_hits", &S::intercept_hits},
+        {"root_hits", &S::root_hits},
+        {"misses", &S::misses},
+        {"timeouts", &S::timeouts},
+        {"heal_pushes", &S::heal_pushes},
+        {"reconstructions", &S::reconstructions},
+    });
+  }
 };
 
 class ObjectStore {
@@ -161,8 +176,6 @@ class ObjectStore {
   void on_direct(sim::HostId host, const sim::Packet& packet);
   void handle_put_at_root(sim::HostId root, const ObjectId& id, Bytes data,
                           sim::HostId requester, std::uint64_t request_id);
-  void handle_get(sim::HostId host, const ObjectId& id, sim::HostId requester,
-                  std::uint64_t request_id, bool at_root, std::uint64_t hit_counter_delta);
   void reply(sim::HostId from, sim::HostId requester, std::uint64_t request_id,
              const ObjectId& id, const Bytes* data);
   void start_reconstruction(sim::HostId root, const ObjectId& id, std::uint64_t request_id,

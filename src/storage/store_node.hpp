@@ -16,6 +16,7 @@
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
+#include "common/stats.hpp"
 #include "storage/erasure.hpp"
 
 namespace aa::storage {
@@ -26,6 +27,15 @@ struct StoreNodeStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
+
+  static constexpr auto fields() {
+    using S = StoreNodeStats;
+    return std::to_array<StatField<S>>({
+        {"cache_hits", &S::cache_hits},
+        {"cache_misses", &S::cache_misses},
+        {"cache_evictions", &S::cache_evictions},
+    });
+  }
 };
 
 class StoreNode {

@@ -13,7 +13,6 @@ bool Path::Step::matches(const Element& e) const {
 
 Result<Path> Path::compile(std::string_view expr) {
   Path path;
-  path.expr_ = std::string(expr);
   std::size_t pos = 0;
   if (expr.empty()) return Status(Code::kInvalidArgument, "empty path");
   while (pos < expr.size()) {

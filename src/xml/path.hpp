@@ -37,8 +37,6 @@ class Path {
   /// the first matched element.  nullopt when nothing matches.
   std::optional<std::string> value(const Element& root) const;
 
-  const std::string& expression() const { return expr_; }
-
  private:
   struct Step {
     std::string name;  // "*" = wildcard
@@ -49,7 +47,6 @@ class Path {
     bool matches(const Element& e) const;
   };
 
-  std::string expr_;
   std::vector<Step> steps_;
   std::string attr_;  // trailing @attr, empty if none
 };

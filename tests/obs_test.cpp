@@ -5,26 +5,41 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bundle/thin_server.hpp"
 #include "common/hash.hpp"
 #include "common/ids.hpp"
 #include "common/log.hpp"
-#include "obs/profiler.hpp"
+#include "common/stats.hpp"
+#include "deploy/evolution.hpp"
 #include "event/filter_parser.hpp"
 #include "gloss/active_architecture.hpp"
+#include "match/discovery.hpp"
+#include "match/knowledge.hpp"
+#include "match/replicated_knowledge.hpp"
 #include "obs/metrics_hub.hpp"
+#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
+#include "overlay/node.hpp"
+#include "pipeline/pipeline_network.hpp"
+#include "pubsub/broker.hpp"
 #include "pubsub/siena_network.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/reliable.hpp"
+#include "storage/durability.hpp"
+#include "storage/object_store.hpp"
+#include "storage/store_node.hpp"
 
 namespace aa {
 namespace {
@@ -237,6 +252,74 @@ TEST(Metrics, NetworkExportIncludesBatchCounters) {
   EXPECT_EQ(reg.counter("net.batch.flushes"), 3u);
   // 10 messages, 6 of which coalesced into 2 frames: 6 physical packets.
   EXPECT_EQ(reg.counter("net.packets_sent"), 6u);
+}
+
+// One stats struct through its field list: every member is listed once
+// (the listed members, set to distinct values, fill the whole struct),
+// export_stats emits exactly the listed and derived keys with their
+// values, and accumulate adds field by field.
+template <typename S>
+void check_field_list(const std::string& ns) {
+  SCOPED_TRACE(ns);
+  constexpr auto fields = S::fields();
+  S a{}, b{};
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    a.*fields[i].member = 100 + i;
+    b.*fields[i].member = 1000 * (i + 1);
+  }
+  std::array<std::uint64_t, fields.size()> raw{};
+  std::memcpy(raw.data(), &a, sizeof(S));
+  EXPECT_EQ(std::set<std::uint64_t>(raw.begin(), raw.end()).size(), fields.size());
+  EXPECT_EQ(*std::min_element(raw.begin(), raw.end()), 100u);
+
+  sim::MetricsRegistry reg;
+  obs::export_stats(reg, ns, a);
+  std::size_t derived = 0;
+  if constexpr (requires { S::derived(); }) {
+    for (const DerivedStat<S>& d : S::derived()) {
+      const std::string key = ns + "." + std::string(d.key);
+      ASSERT_TRUE(reg.counters().contains(key)) << key;
+      EXPECT_EQ(reg.counter(key), d.value(a)) << key;
+      ++derived;
+    }
+  }
+  EXPECT_EQ(reg.counters().size(), fields.size() + derived);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const std::string key = ns + "." + std::string(fields[i].key);
+    ASSERT_TRUE(reg.counters().contains(key)) << key;
+    EXPECT_EQ(reg.counter(key), 100 + i) << key;
+  }
+
+  S sum = a;
+  accumulate(sum, b);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(sum.*fields[i].member, (100 + i) + 1000 * (i + 1)) << fields[i].key;
+  }
+}
+
+TEST(Metrics, EveryFieldListExportsAndSums) {
+  check_field_list<sim::NetworkStats>("net");
+  check_field_list<pubsub::BrokerStats>("broker");
+  check_field_list<overlay::NodeStats>("overlay");
+  check_field_list<pipeline::PipelineStats>("pipeline");
+  check_field_list<storage::ObjectStoreStats>("store");
+  check_field_list<storage::StoreNodeStats>("store.cache");
+  check_field_list<storage::DurabilityStats>("durability");
+  check_field_list<deploy::EvolutionStats>("evolution");
+  check_field_list<bundle::ThinServerStats>("deploy");
+  check_field_list<match::KnowledgeStats>("knowledge");
+  check_field_list<match::ReplicationStats>("knowledge.replication");
+  check_field_list<match::DiscoveryStats>("discovery");
+
+  // The durability derived key: (1500 + 500) physical bytes per 1000
+  // logical is a write amplification of 2.000.
+  storage::DurabilityStats dur;
+  dur.wal_bytes = 1500;
+  dur.checkpoint_bytes = 500;
+  dur.logical_bytes = 1000;
+  sim::MetricsRegistry reg;
+  obs::export_stats(reg, "durability", dur);
+  EXPECT_EQ(reg.counter("durability.write_amplification_x1000"), 2000u);
 }
 
 TEST(Tracing, BatchedFrameRecordsOneWireSpanForAllMembers) {
@@ -654,6 +737,146 @@ TEST(Metrics, FacadeTimelineKnobsRecordSnapshots) {
   EXPECT_GT(last.metrics.counter("sched.total.tasks"), 0u);
   // And the periodic advertiser kept the bus busy across the window.
   EXPECT_GT(last.metrics.counter("net.messages_sent"), 0u);
+}
+
+// Pins the facade snapshot's full counter key set and values after a
+// fixed run (a knowledge join, a discovered handler, user delivery):
+// any renamed, dropped or re-valued key shows up here.  Profiling and
+// tracing stay off, so every value is a deterministic work count.
+TEST(Metrics, FacadeSnapshotKeySetIsPinned) {
+  gloss::ActiveArchitecture::Config cfg;
+  cfg.hosts = 8;
+  cfg.brokers = 2;
+  cfg.regions = 2;
+  cfg.settle_time = duration::seconds(5);
+  gloss::ActiveArchitecture arch(cfg);
+  arch.start_discovery(2);
+
+  match::Fact pref;
+  pref.set("kind", "preference").set("user", "bob").set("min_celsius", 18.0);
+  arch.add_fact(pref);
+  match::Rule rule;
+  rule.name = "bob-likes-heat";
+  rule.triggers = {{"t", event::parse_filter("type = temperature").value(),
+                    duration::minutes(5)}};
+  match::FactPattern fp;
+  fp.alias = "pref";
+  fp.filter = event::parse_filter("kind = preference and user = bob").value();
+  rule.facts.push_back(std::move(fp));
+  rule.joins.push_back(match::JoinCondition{match::Operand::ref("t", "celsius"), Op::kGe,
+                                            match::Operand::ref("pref", "min_celsius")});
+  rule.emit.type = "bob-alert";
+  gloss::ServiceSpec spec;
+  spec.name = "bob-service";
+  spec.input = event::parse_filter("type = temperature").value();
+  spec.rules = {rule};
+  arch.deploy_service(spec);
+
+  match::Rule pollen_rule;
+  pollen_rule.name = "pollen-alert";
+  pollen_rule.triggers = {{"p", event::parse_filter("type = pollen").value(),
+                           duration::minutes(5)}};
+  pollen_rule.emit.type = "pollen-warning";
+  arch.publish_handler("pollen", {pollen_rule});
+  arch.run_for(duration::seconds(30));
+
+  int delivered = 0;
+  arch.subscribe_user(5, event::parse_filter("type = bob-alert").value(),
+                      [&](const Event&) { ++delivered; });
+  arch.subscribe_user(6, event::parse_filter("type = pollen-warning").value(),
+                      [&](const Event&) { ++delivered; });
+  arch.run_for(duration::seconds(5));
+  for (int i = 0; i < 3; ++i) {
+    Event temp("temperature");
+    temp.set("celsius", 20.0 + i);
+    arch.publish(3, temp);
+    arch.publish(7, Event("pollen"));
+    arch.run_for(duration::seconds(20));
+  }
+  EXPECT_GT(delivered, 0);
+
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"broker.aggregate_absorbed", 0},
+      {"broker.aggregate_retractions", 0},
+      {"broker.aggregate_updates", 0},
+      {"broker.checkpoint_bytes", 0},
+      {"broker.checkpoints", 0},
+      {"broker.deliveries", 85},
+      {"broker.duplicate_publishes_discarded", 0},
+      {"broker.index_probes", 64},
+      {"broker.match_tests", 0},
+      {"broker.publications_routed", 77},
+      {"broker.recovered_entries", 0},
+      {"broker.recoveries", 0},
+      {"broker.subscriptions_forwarded", 4},
+      {"broker.subscriptions_suppressed", 5},
+      {"broker.sync_give_ups", 0},
+      {"broker.sync_replies", 0},
+      {"broker.sync_requests", 0},
+      {"broker.sync_retries", 0},
+      {"deploy.installed", 2},
+      {"deploy.installer_failures", 0},
+      {"deploy.received", 2},
+      {"deploy.rejected_capability", 0},
+      {"deploy.rejected_component", 0},
+      {"deploy.rejected_seal", 0},
+      {"deploy.uninstalled", 0},
+      {"discovery.deploy_failures", 0},
+      {"discovery.handlers_deployed", 1},
+      {"discovery.lookup_failures", 3},
+      {"discovery.lookups", 4},
+      {"discovery.unknown_events", 9},
+      {"evolution.deployments_failed", 0},
+      {"evolution.deployments_started", 1},
+      {"evolution.deployments_succeeded", 1},
+      {"evolution.evaluations", 11},
+      {"evolution.retirements", 0},
+      {"evolution.violations_observed", 0},
+      {"knowledge.facts_examined", 3},
+      {"knowledge.indexed_queries", 3},
+      {"knowledge.replication.state_transfers", 2},
+      {"knowledge.replication.updates_applied", 0},
+      {"knowledge.replication.updates_published", 1},
+      {"knowledge.scan_queries", 0},
+      {"net.batch.flushes", 0},
+      {"net.batch.frames", 0},
+      {"net.batch.members", 0},
+      {"net.bytes_sent", 91065},
+      {"net.dropped_by_fault", 0},
+      {"net.duplicated", 0},
+      {"net.messages_delivered", 410},
+      {"net.messages_dropped", 0},
+      {"net.messages_sent", 418},
+      {"net.packets_sent", 418},
+      {"net.retransmits", 0},
+      {"overlay.delivered", 0},
+      {"overlay.forwarded", 0},
+      {"overlay.repairs", 0},
+      {"overlay.routed", 5},
+      {"overlay.undeliverable", 0},
+      {"pipeline.inter_node_hops", 0},
+      {"pipeline.intra_node_hops", 10},
+      {"pipeline.parse_failures", 0},
+      {"pipeline.undeliverable", 0},
+      {"store.cache.cache_evictions", 0},
+      {"store.cache.cache_hits", 0},
+      {"store.cache.cache_misses", 10},
+      {"store.gets", 4},
+      {"store.heal_pushes", 0},
+      {"store.intercept_hits", 1},
+      {"store.local_hits", 0},
+      {"store.misses", 3},
+      {"store.puts", 1},
+      {"store.reconstructions", 0},
+      {"store.root_hits", 0},
+      {"store.timeouts", 0},
+  };
+  const sim::MetricsRegistry snap = arch.metrics_snapshot();
+  const std::vector<std::pair<std::string, std::uint64_t>> actual(snap.counters().begin(),
+                                                                   snap.counters().end());
+  std::ostringstream listing;
+  for (const auto& [name, value] : actual) listing << "{\"" << name << "\", " << value << "},\n";
+  EXPECT_EQ(actual, expected) << listing.str();
 }
 
 // --- Validator: counter tracks ---
